@@ -24,7 +24,8 @@ SyncEngine::SyncEngine(const ExperimentConfig& config, Selector* selector, Tunin
       policy_(policy),
       clients_(BuildPopulation(GetDatasetSpec(config.dataset), config.num_clients, config.alpha,
                                config.interference, config.seed)),
-      tracker_(config.num_clients) {
+      tracker_(config.num_clients),
+      selected_mark_(clients_.size(), 0) {
   const size_t threads = ResolveThreadCount(config.num_threads);
   if (threads > 1) {
     // The calling thread participates in every ParallelFor, so `threads`
@@ -390,34 +391,49 @@ void SyncEngine::RunRound(size_t round) {
     }
   }
 
+  // Phases 1 and 2 hand each slot's client to one pool task, so the ids
+  // (speculative backups included) must be in range and pairwise distinct:
+  // a repeated id would have two workers stepping one client's traces.
+  for (const size_t id : selected) {
+    FLOATFL_CHECK(id < clients_.size());
+    FLOATFL_CHECK_MSG(!selected_mark_[id], "Selector::Select returned a duplicate client id");
+    selected_mark_[id] = 1;
+  }
+  for (const size_t id : selected) {
+    selected_mark_[id] = 0;
+  }
+
   GlobalObservation global;
   global.batch_size = config_.batch_size;
   global.epochs = config_.epochs;
   global.participants = config_.clients_per_round;
 
-  // Phase 1 (sequential): observe each client and let the policy decide,
-  // preserving the policy's internal draw order across thread counts. Fault
-  // decisions are drawn here too — each from its own (round, client)-keyed
-  // stream, so their order is irrelevant, but batching them keeps phase 2
-  // free of injector calls.
+  // Phase 1a (parallel): observe each client. ObserveClient steps only that
+  // client's own interference trace, and observations land in an
+  // index-ordered buffer, so the values are thread-count invariant.
   std::vector<ClientObservation>& observations = scratch_.observations;
   std::vector<TechniqueKind>& techniques = scratch_.techniques;
   std::vector<FaultDecision>& faults = scratch_.faults;
-  observations.clear();
+  observations.resize(selected.size());
+  ParallelFor(pool_.get(), selected.size(), [&](size_t i) {
+    observations[i] = ObserveClient(clients_[selected[i]], now_s_, reference_);
+  });
+
+  // Phase 1b (sequential, selection order): let the policy decide,
+  // preserving its internal draw order across thread counts. Fault decisions
+  // are drawn here too — each from its own (round, client)-keyed stream, so
+  // their order is irrelevant, but batching them keeps phase 2 free of
+  // injector calls.
   techniques.clear();
   faults.assign(selected.size(), FaultDecision());
-  observations.reserve(selected.size());
   techniques.reserve(selected.size());
   for (size_t i = 0; i < selected.size(); ++i) {
     const size_t id = selected[i];
-    FLOATFL_CHECK(id < clients_.size());
-    Client& client = clients_[id];
-    observations.push_back(ObserveClient(client, now_s_, reference_));
     // The policy always gets its Decide call (preserving its internal draw
     // order); the guard may then veto the chosen action (safe mode or
     // quarantine) and substitute kNone.
     techniques.push_back(
-        guard_.Filter(policy_ != nullptr ? policy_->Decide(id, observations.back(), global)
+        guard_.Filter(policy_ != nullptr ? policy_->Decide(id, observations[i], global)
                                          : TechniqueKind::kNone,
                       round));
     if (injector_.enabled()) {
@@ -426,8 +442,8 @@ void SyncEngine::RunRound(size_t round) {
   }
 
   // Phase 2 (parallel): simulate the selected clients. Each task touches
-  // only its own client's trace state (selectors sample without
-  // replacement), and outcomes land in an index-ordered buffer.
+  // only its own client's trace state (ids are distinct, checked above),
+  // and outcomes land in an index-ordered buffer.
   std::vector<ClientRoundOutcome>& outcomes = scratch_.outcomes;
   outcomes.assign(selected.size(), ClientRoundOutcome());
   ParallelFor(pool_.get(), selected.size(), [&](size_t i) {

@@ -9,6 +9,7 @@
 #ifndef SRC_FL_SYNC_ENGINE_H_
 #define SRC_FL_SYNC_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -230,6 +231,9 @@ class SyncEngine {
     }
   };
   RoundScratch scratch_;
+  // One flag per client, all zero between rounds: RunRound marks the
+  // selected ids to check they are distinct, then clears just those marks.
+  std::vector<uint8_t> selected_mark_;
 };
 
 }  // namespace floatfl

@@ -22,6 +22,12 @@ class Selector {
   // Chooses up to k client ids for the round starting at `now_s`. The
   // population is non-const because reading the stateful traces (e.g.
   // availability) advances them.
+  //
+  // The returned ids must be valid indices into `clients` and pairwise
+  // distinct (sampling without replacement): the sync engine observes and
+  // simulates each selected client on its own pool task, so a repeated id
+  // would have two workers stepping one client's traces. SyncEngine aborts
+  // the round (FLOATFL_CHECK) if the contract is broken.
   virtual std::vector<size_t> Select(size_t round, double now_s, size_t k,
                                      std::vector<Client>& clients) = 0;
 

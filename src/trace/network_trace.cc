@@ -37,9 +37,7 @@ NetworkTrace::NetworkTrace(NetworkKind kind, uint64_t seed) : kind_(kind), rng_(
 
 void NetworkTrace::Step() {
   if (sigma_ == 0.0) {
-    // Degenerate Constant() trace: pinned forever (even below the 0.01 Mbps
-    // floor the stochastic process enforces — Constant(0) must stay 0).
-    return;
+    return;  // Degenerate Constant() trace: no regime, no noise, no draws.
   }
   // Regime transitions.
   const double u = rng_.NextDouble();
@@ -58,6 +56,14 @@ void NetworkTrace::Step() {
   }
   // Log-space AR(1) around the regime median.
   log_dev_ = revert_ * log_dev_ + sigma_ * rng_.Normal();
+}
+
+void NetworkTrace::UpdateCurrent() {
+  if (sigma_ == 0.0) {
+    // Constant() trace: pinned forever (even below the 0.01 Mbps floor the
+    // stochastic process enforces — Constant(0) must stay 0).
+    return;
+  }
   double median = nominal_mbps_;
   if (regime_ == 1) {
     median *= 0.25;
@@ -101,9 +107,17 @@ double NetworkTrace::BandwidthMbpsAt(double time_s) {
   if (time_s - current_time_ > kStepSeconds * kMaxCatchupSteps) {
     current_time_ = time_s - kStepSeconds * (kMaxCatchupSteps / 2.0);
   }
+  // Step() advances only the latent regime and AR(1) deviation; the output
+  // is a pure function of the final latent state, so it is computed once
+  // per query rather than once per step (bit-identical either way).
+  bool stepped = false;
   while (current_time_ + kStepSeconds <= time_s) {
     Step();
     current_time_ += kStepSeconds;
+    stepped = true;
+  }
+  if (stepped) {
+    UpdateCurrent();
   }
   return current_mbps_;
 }

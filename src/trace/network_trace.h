@@ -46,7 +46,10 @@ class NetworkTrace {
   void LoadState(CheckpointReader& r);
 
  private:
+  // Advances the latent regime and log deviation by one step.
   void Step();
+  // Recomputes current_mbps_ from the latent state (no-op when pinned).
+  void UpdateCurrent();
 
   NetworkKind kind_;
   Rng rng_;

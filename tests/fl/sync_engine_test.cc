@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/float_controller.h"
 #include "src/selection/random_selector.h"
 
@@ -190,6 +193,35 @@ TEST(SyncEngineTest, FloatPolicyImprovesParticipation) {
 
   EXPECT_GT(improved.total_completed, base.total_completed);
   EXPECT_GT(improved.accuracy_avg, base.accuracy_avg);
+}
+
+// Breaks the Selector contract by returning one client id twice.
+class DuplicatingSelector : public Selector {
+ public:
+  std::vector<size_t> Select(size_t /*round*/, double /*now_s*/, size_t k,
+                             std::vector<Client>& /*clients*/) override {
+    std::vector<size_t> ids;
+    for (size_t i = 0; i + 1 < k; ++i) {
+      ids.push_back(i);
+    }
+    ids.push_back(0);
+    return ids;
+  }
+  std::string Name() const override { return "duplicating"; }
+};
+
+TEST(SyncEngineDeathTest, DuplicateSelectedIdAborts) {
+  // Two pool tasks stepping one client's traces would race, so the engine
+  // refuses the round instead of running it.
+  EXPECT_DEATH(
+      {
+        ExperimentConfig config = SmallConfig();
+        config.num_threads = 2;
+        DuplicatingSelector selector;
+        SyncEngine engine(config, &selector, nullptr);
+        engine.RunRound(0);
+      },
+      "duplicate client id");
 }
 
 }  // namespace

@@ -1,17 +1,19 @@
 // Thread-count invariance harness.
 //
-// Runs identical experiments at num_threads in {1, 2, 8} on all three
-// engines and asserts the outputs are bit-for-bit identical: per-round
-// accuracy sequences, learned Q-tables, resource-accountant totals,
-// participation counts, and (for the real engine) the aggregated model
-// weights themselves. This is the contract that lets the engines fan
+// Runs identical experiments at num_threads in {1, 2, 8} ({1, 2, 4, 8} for
+// the fully armed sync run) on all three engines and asserts the outputs
+// are bit-for-bit identical: per-round accuracy sequences, learned
+// Q-tables, resource-accountant totals, participation counts, and (for the
+// real engine) the aggregated model weights themselves. This is the contract that lets the engines fan
 // per-client work across a pool without becoming irreproducible.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 #include <vector>
 
 #include "src/core/float_controller.h"
+#include "src/failure/checkpoint_io.h"
 #include "src/fl/async_engine.h"
 #include "src/fl/real_engine.h"
 #include "src/fl/sync_engine.h"
@@ -125,6 +127,65 @@ TEST(DeterminismTest, SyncEngineVanillaPolicyIsThreadCountInvariant) {
   for (size_t t = 1; t < kThreadCounts.size(); ++t) {
     SCOPED_TRACE("num_threads=" + std::to_string(kThreadCounts[t]));
     ExpectSameResult(baseline, run(kThreadCounts[t]));
+  }
+}
+
+// The parallel observe phase with every subsystem that reshapes the
+// selected cohort or draws alongside the policy armed: FLOAT's RLHF agent
+// (sequential Decide after the parallel observe), speculative backups
+// appended to the selection, injected faults and a faulty two-tier edge
+// tree. Results and the serialized engine, selector and policy state must be
+// byte-identical at every thread count.
+ExperimentConfig ArmedObserveConfig(size_t num_threads) {
+  ExperimentConfig config = SmallConfig(num_threads);
+  config.num_clients = 60;
+  config.clients_per_round = 12;
+  config.rounds = 20;
+  config.faults.crash_prob = 0.15;
+  config.faults.corrupt_prob = 0.05;
+  config.faults.overcommit = 1.3;
+  config.salvage.enabled = true;
+  config.salvage.speculation = true;
+  config.salvage.speculation_margin = 0.0;
+  config.salvage.max_backup_fraction = 0.25;
+  config.topology.num_edges = 3;
+  config.topology.edge_crash_prob = 0.1;
+  config.topology.edge_blackout_prob = 0.05;
+  config.topology.edge_retry_cooldown_rounds = 2;
+  return config;
+}
+
+TEST(DeterminismTest, SyncEngineParallelObserveIsThreadCountInvariantWithEverythingArmed) {
+  ExperimentResult baseline;
+  std::string baseline_state;
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    const ExperimentConfig config = ArmedObserveConfig(threads);
+    auto controller = FloatController::MakeDefault(config.seed, config.rounds);
+    RandomSelector selector(config.seed);
+    SyncEngine engine(config, &selector, controller.get());
+    const ExperimentResult result = engine.Run();
+    CheckpointWriter w;
+    engine.SaveState(w);
+    selector.SaveState(w);
+    controller->SaveState(w);
+    if (threads == 1) {
+      // The run must exercise the paths it claims to cover.
+      EXPECT_GT(result.backups_planned, 0u);
+      EXPECT_GT(result.dropout_breakdown.crashed, 0u);
+      EXPECT_GT(result.edge_crashes, 0u);
+      EXPECT_GT(result.reparented_clients, 0u);
+      baseline = result;
+      baseline_state = w.buffer();
+      continue;
+    }
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    ExpectSameResult(baseline, result);
+    EXPECT_EQ(result.backups_planned, baseline.backups_planned);
+    EXPECT_EQ(result.backups_won, baseline.backups_won);
+    EXPECT_EQ(result.edge_crashes, baseline.edge_crashes);
+    EXPECT_EQ(result.reparented_clients, baseline.reparented_clients);
+    EXPECT_EQ(result.rejected_updates, baseline.rejected_updates);
+    EXPECT_TRUE(w.buffer() == baseline_state) << "checkpoint bytes differ";
   }
 }
 
