@@ -39,8 +39,8 @@ int main() {
       table.Cell(100.0 * loss, 0)
           .Cell(resumable ? "resume" : "restart")
           .Cell(static_cast<long long>(r.total_completed))
-          .Cell(static_cast<long long>(r.dropout_breakdown.missed_deadline +
-                                       r.dropout_breakdown.transfer_timed_out))
+          .Cell(static_cast<long long>(r.dropout_breakdown[DropoutReason::kMissedDeadline] +
+                                       r.dropout_breakdown[DropoutReason::kTransferTimedOut]))
           .Cell(r.retransmitted_mb, 0)
           .Cell(r.salvaged_mb, 0)
           .Cell(r.wall_clock_hours, 1)

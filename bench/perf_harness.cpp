@@ -1,18 +1,16 @@
 // Continuous performance harness (DESIGN.md §12).
 //
-// Runs fixed-scale scenarios for the three optimized areas and emits one
-// machine-readable trajectory file per area:
+// Runs fixed-scale scenarios for three areas and emits one machine-readable
+// trajectory file per area:
 //
 //   BENCH_agg.json        reference vs blocked aggregation, all five rules
-//   BENCH_trace.json      trace queries with the same-timestamp memo off/on
-//   BENCH_round_loop.json full engine round loops, fresh-alloc vs pooled
+//   BENCH_trace.json      repeated trace queries on a timestamp ladder
+//   BENCH_round_loop.json full engine round loops
 //
-// Every before/after pair is also *checked* here: the optimized variant
-// must produce bit-identical results to its baseline (aggregate outputs,
-// trace value checksums, engine accuracy and wire bytes), and the pooled
-// round loops must allocate no more than the fresh-allocation ones. A
-// harness run that measures a non-equivalent optimization aborts — the
-// JSON never records numbers from a wrong computation.
+// The agg before/after pair is also *checked* here: the blocked variant
+// must produce bit-identical outputs to the reference rule, so a harness
+// run that measures a non-equivalent optimization aborts — the JSON never
+// records numbers from a wrong computation.
 //
 // Usage: perf_harness [--out DIR] [--scale-factor N]
 //   --out DIR        directory for the BENCH_*.json files (default ".")
@@ -36,7 +34,6 @@
 #include "src/trace/compute_trace.h"
 #include "src/trace/interference.h"
 #include "src/trace/network_trace.h"
-#include "src/trace/trace_memo.h"
 
 namespace floatfl_bench {
 namespace {
@@ -164,7 +161,7 @@ void BenchAgg(std::vector<PerfSample>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Area "trace": repeated same-timestamp queries with the memo off/on.
+// Area "trace": repeated same-timestamp queries.
 // ---------------------------------------------------------------------------
 
 struct TraceScale {
@@ -174,7 +171,7 @@ struct TraceScale {
 };
 
 // Drives `query(t)` over the scale's timestamp ladder and returns the sum
-// of every returned value (the bit-exactness checksum).
+// of every returned value.
 template <typename Query>
 double DriveTrace(const TraceScale& scale, const Query& query) {
   double checksum = 0.0;
@@ -191,34 +188,23 @@ double DriveTrace(const TraceScale& scale, const Query& query) {
 template <typename MakeTrace, typename Query>
 void BenchOneTrace(std::vector<PerfSample>& out, const char* case_name,
                    const TraceScale& scale, const MakeTrace& make_trace, const Query& query) {
-  const double work =
+  PerfSample sample;
+  sample.area = "trace";
+  sample.case_name = case_name;
+  sample.scale = scale.name;
+  sample.variant = "default";
+  sample.work_units =
       static_cast<double>(scale.steps) * static_cast<double>(scale.queries_per_step);
-  double checksum_off = 0.0;
-  double checksum_on = 0.0;
-  for (const bool memo : {false, true}) {
-    SetTraceQueryMemo(memo);
-    PerfSample sample;
-    sample.area = "trace";
-    sample.case_name = case_name;
-    sample.scale = scale.name;
-    sample.variant = memo ? "memo_on" : "memo_off";
-    sample.work_units = work;
-    double checksum = 0.0;
-    // The trace is rebuilt per rep: queries are contractually monotonic in
-    // time, so a rep cannot re-drive the ladder on an advanced trace.
-    Measure(sample, [&] {
-      auto trace = make_trace();
-      checksum = DriveTrace(scale, [&](double t) { return query(trace, t); });
-    });
-    (memo ? checksum_on : checksum_off) = checksum;
-    out.push_back(sample);
-  }
-  SetTraceQueryMemo(true);
-  FLOATFL_CHECK_MSG(checksum_off == checksum_on,
-                    "trace memo changed query results (checksum mismatch)");
-  std::cout << "trace/" << case_name << "/" << scale.name << ": memo_off "
-            << out[out.size() - 2].wall_seconds << "s, memo_on "
-            << out[out.size() - 1].wall_seconds << "s\n";
+  double checksum = 0.0;
+  // The trace is rebuilt per rep: queries are contractually monotonic in
+  // time, so a rep cannot re-drive the ladder on an advanced trace.
+  Measure(sample, [&] {
+    auto trace = make_trace();
+    checksum = DriveTrace(scale, [&](double t) { return query(trace, t); });
+  });
+  out.push_back(sample);
+  std::cout << "trace/" << case_name << "/" << scale.name << ": " << sample.wall_seconds
+            << "s (checksum " << checksum << ")\n";
 }
 
 void BenchTrace(std::vector<PerfSample>& out) {
@@ -244,25 +230,23 @@ void BenchTrace(std::vector<PerfSample>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Area "round_loop": full engines, fresh-alloc vs pooled scratch.
+// Area "round_loop": full engine round loops.
 // ---------------------------------------------------------------------------
 
 // Shared scenario knobs: single-threaded (so allocation counts are
 // deterministic), deterministic zero-loss transport on (so bytes-moved is
 // real wire accounting, not zero).
-ExperimentConfig RoundLoopConfig(bool large, bool pooled) {
+ExperimentConfig RoundLoopConfig(bool large) {
   ExperimentConfig config = PaperConfig();
   config.num_clients = large ? 120 : 60;
   config.clients_per_round = large ? 20 : 10;
   config.rounds = Scaled(large ? 40 : 20);
   config.num_threads = 1;
-  config.pool_round_scratch = pooled;
   config.faults.transport = true;  // chunked wire accounting, zero loss
   return config;
 }
 
 struct EngineRunResult {
-  double accuracy = 0.0;
   double wire_mb = 0.0;
   double sim_seconds = 0.0;
 };
@@ -270,35 +254,20 @@ struct EngineRunResult {
 template <typename RunFn>
 void BenchEngine(std::vector<PerfSample>& out, const char* case_name, const char* scale_name,
                  double rounds, const RunFn& run) {
-  EngineRunResult fresh_result, pooled_result;
-  for (const bool pooled : {false, true}) {
-    PerfSample sample;
-    sample.area = "round_loop";
-    sample.case_name = case_name;
-    sample.scale = scale_name;
-    sample.variant = pooled ? "pooled" : "fresh_alloc";
-    sample.work_units = rounds;
-    EngineRunResult result;
-    Measure(sample, [&] { result = run(pooled); });
-    sample.sim_seconds = result.sim_seconds;
-    sample.bytes_moved_mb = result.wire_mb;
-    sample.FinalizeRates();
-    (pooled ? pooled_result : fresh_result) = result;
-    out.push_back(sample);
-  }
-  const PerfSample& fresh = out[out.size() - 2];
-  const PerfSample& pooled = out[out.size() - 1];
-  FLOATFL_CHECK_MSG(fresh_result.accuracy == pooled_result.accuracy &&
-                        fresh_result.wire_mb == pooled_result.wire_mb &&
-                        fresh_result.sim_seconds == pooled_result.sim_seconds,
-                    "scratch pooling changed engine results");
-  if (AllocHookActive()) {
-    FLOATFL_CHECK_MSG(pooled.allocations <= fresh.allocations,
-                      "pooled round loop allocated more than fresh-alloc");
-  }
-  std::cout << "round_loop/" << case_name << "/" << scale_name << ": fresh "
-            << fresh.wall_seconds << "s / " << fresh.allocations << " allocs, pooled "
-            << pooled.wall_seconds << "s / " << pooled.allocations << " allocs\n";
+  PerfSample sample;
+  sample.area = "round_loop";
+  sample.case_name = case_name;
+  sample.scale = scale_name;
+  sample.variant = "default";
+  sample.work_units = rounds;
+  EngineRunResult result;
+  Measure(sample, [&] { result = run(); });
+  sample.sim_seconds = result.sim_seconds;
+  sample.bytes_moved_mb = result.wire_mb;
+  sample.FinalizeRates();
+  out.push_back(sample);
+  std::cout << "round_loop/" << case_name << "/" << scale_name << ": " << sample.wall_seconds
+            << "s / " << sample.allocations << " allocs\n";
 }
 
 void BenchRoundLoop(std::vector<PerfSample>& out) {
@@ -306,27 +275,23 @@ void BenchRoundLoop(std::vector<PerfSample>& out) {
     const char* scale_name = large ? "large" : "small";
 
     {
-      const ExperimentConfig config = RoundLoopConfig(large, false);
+      const ExperimentConfig config = RoundLoopConfig(large);
       BenchEngine(out, "sync", scale_name, static_cast<double>(config.rounds),
-                  [&](bool pooled) {
-                    ExperimentConfig c = RoundLoopConfig(large, pooled);
-                    const std::unique_ptr<Selector> selector = MakeSelector("fedavg", c);
-                    SyncEngine engine(c, selector.get(), nullptr);
+                  [&] {
+                    const std::unique_ptr<Selector> selector = MakeSelector("fedavg", config);
+                    SyncEngine engine(config, selector.get(), nullptr);
                     const ExperimentResult r = engine.Run();
-                    return EngineRunResult{r.global_accuracy, r.wire_mb, engine.now()};
+                    return EngineRunResult{r.wire_mb, engine.now()};
                   });
     }
     {
-      ExperimentConfig config = RoundLoopConfig(large, false);
+      ExperimentConfig config = RoundLoopConfig(large);
       config.rounds = Scaled(large ? 20 : 10);
       BenchEngine(out, "async", scale_name, static_cast<double>(config.rounds),
-                  [&](bool pooled) {
-                    ExperimentConfig c = config;
-                    c.pool_round_scratch = pooled;
-                    AsyncEngine engine(c, nullptr);
+                  [&] {
+                    AsyncEngine engine(config, nullptr);
                     const ExperimentResult r = engine.Run();
-                    return EngineRunResult{r.global_accuracy, r.wire_mb,
-                                           r.wall_clock_hours * 3600.0};
+                    return EngineRunResult{r.wire_mb, r.wall_clock_hours * 3600.0};
                   });
     }
     {
@@ -338,16 +303,12 @@ void BenchRoundLoop(std::vector<PerfSample>& out) {
       config.faults.transport = true;
       const size_t rounds = Scaled(large ? 5 : 3);
       BenchEngine(out, "real", scale_name, static_cast<double>(rounds),
-                  [&](bool pooled) {
-                    RealFlConfig c = config;
-                    c.pool_round_scratch = pooled;
-                    RealFlEngine engine(c);
-                    RealRoundStats stats;
+                  [&] {
+                    RealFlEngine engine(config);
                     for (size_t i = 0; i < rounds; ++i) {
-                      stats = engine.RunRound(TechniqueKind::kNone);
+                      engine.RunRound(TechniqueKind::kNone);
                     }
-                    return EngineRunResult{stats.test_accuracy,
-                                           engine.transport_tracker().TotalWireMb(), 0.0};
+                    return EngineRunResult{engine.transport_tracker().TotalWireMb(), 0.0};
                   });
     }
     {
@@ -357,16 +318,12 @@ void BenchRoundLoop(std::vector<PerfSample>& out) {
       config.faults.transport = true;
       const size_t epochs = Scaled(large ? 6 : 3);
       BenchEngine(out, "vfl", scale_name, static_cast<double>(epochs),
-                  [&](bool pooled) {
-                    VflConfig c = config;
-                    c.pool_round_scratch = pooled;
-                    VflEngine engine(c);
-                    VflRoundStats stats;
+                  [&] {
+                    VflEngine engine(config);
                     for (size_t i = 0; i < epochs; ++i) {
-                      stats = engine.TrainEpoch(TechniqueKind::kNone);
+                      engine.TrainEpoch(TechniqueKind::kNone);
                     }
-                    return EngineRunResult{stats.test_accuracy,
-                                           engine.transport_tracker().TotalWireMb(), 0.0};
+                    return EngineRunResult{engine.transport_tracker().TotalWireMb(), 0.0};
                   });
     }
   }

@@ -73,8 +73,8 @@ class WallTimer {
 
 struct PerfSample {
   // Key (unique per file): measurement area, scenario, problem size, and
-  // the code path under test (e.g. reference vs blocked, memo_off vs
-  // memo_on, fresh_alloc vs pooled).
+  // the code path under test (e.g. reference vs blocked; "default" where an
+  // area measures a single path).
   std::string area;
   std::string case_name;
   std::string scale;

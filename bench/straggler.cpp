@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
           .Cell(arm.name)
           .Cell(100.0 * r.global_accuracy, 1)
           .Cell(static_cast<long long>(r.total_completed))
-          .Cell(static_cast<long long>(r.dropout_breakdown.missed_deadline))
+          .Cell(static_cast<long long>(r.dropout_breakdown[DropoutReason::kMissedDeadline]))
           .Cell(static_cast<long long>(r.partials_salvaged))
           .Cell(static_cast<long long>(r.salvaged_steps))
           .Cell(static_cast<long long>(r.backups_planned))

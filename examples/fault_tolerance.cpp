@@ -56,9 +56,9 @@ void AddRow(TablePrinter& table, const std::string& name, const ExperimentResult
   table.Cell(name)
       .Cell(100.0 * r.accuracy_avg, 1)
       .Cell(static_cast<long long>(r.total_completed))
-      .Cell(static_cast<long long>(r.dropout_breakdown.crashed))
+      .Cell(static_cast<long long>(r.dropout_breakdown[DropoutReason::kCrashed]))
       .Cell(static_cast<long long>(r.rejected_updates))
-      .Cell(static_cast<long long>(r.dropout_breakdown.rejected))
+      .Cell(static_cast<long long>(r.dropout_breakdown[DropoutReason::kRejected]))
       .Cell(static_cast<long long>(r.total_dropouts))
       .Cell(r.wall_clock_hours, 1)
       .Cell(r.wasted.compute_hours, 1)

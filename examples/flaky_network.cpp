@@ -52,8 +52,8 @@ void AddRow(TablePrinter& table, const std::string& name, const ExperimentResult
   table.Cell(name)
       .Cell(100.0 * r.accuracy_avg, 1)
       .Cell(static_cast<long long>(r.total_completed))
-      .Cell(static_cast<long long>(r.dropout_breakdown.missed_deadline))
-      .Cell(static_cast<long long>(r.dropout_breakdown.transfer_timed_out))
+      .Cell(static_cast<long long>(r.dropout_breakdown[DropoutReason::kMissedDeadline]))
+      .Cell(static_cast<long long>(r.dropout_breakdown[DropoutReason::kTransferTimedOut]))
       .Cell(static_cast<long long>(r.total_dropouts))
       .Cell(r.retransmitted_mb, 0)
       .Cell(r.salvaged_mb, 0)

@@ -77,9 +77,10 @@ int main() {
   table.Print(std::cout);
 
   auto print_breakdown = [](const std::string& name, const DropoutBreakdown& b) {
-    std::cout << name << " dropouts by cause: unavailable=" << b.unavailable
-              << " oom=" << b.out_of_memory << " deadline=" << b.missed_deadline
-              << " departed=" << b.departed << "\n";
+    std::cout << name << " dropouts by cause: unavailable=" << b[DropoutReason::kUnavailable]
+              << " oom=" << b[DropoutReason::kOutOfMemory]
+              << " deadline=" << b[DropoutReason::kMissedDeadline]
+              << " departed=" << b[DropoutReason::kDeparted] << "\n";
   };
   std::cout << "\n";
   print_breakdown("FedAvg", base_result.dropout_breakdown);

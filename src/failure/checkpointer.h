@@ -66,8 +66,11 @@ class Checkpointer {
   // dropout-breakdown counters (backup_covered, backup_redundant), the
   // TransportTracker's unique-progress bytes, the surrogate contribution
   // weight in the async buffer, and the salvage metadata on in-flight async
-  // outcomes. Older checkpoints are refused (the version field mismatches).
-  static constexpr uint32_t kVersion = 9;
+  // outcomes. v10: both sync and async payloads write the dropout breakdown
+  // through DropoutBreakdown::SaveState, one counter per reason in enum
+  // order, so the async payload gained the edge_orphaned counter it used to
+  // omit. Older checkpoints are refused (the version field mismatches).
+  static constexpr uint32_t kVersion = 10;
   enum class EngineTag : uint32_t { kSync = 1, kAsync = 2, kReal = 3, kVfl = 4 };
 
   // Crash-consistent save (fsync'd temp file + rename). Returns false on

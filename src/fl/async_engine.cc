@@ -336,9 +336,6 @@ void AsyncEngine::LaunchClients() {
   for (auto& flight : launches) {
     in_flight_.push_back(flight);
   }
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
-  }
 }
 
 void AsyncEngine::StepOnce() {
@@ -502,7 +499,7 @@ void AsyncEngine::StepOnce() {
           // record and one participated=false policy report — no waste
           // charge and no guard/cooldown side effects.
           tracker_.Record(flight.client_id, d.technique, false, v.reason);
-          CountDropout(v.reason, dropout_breakdown_);
+          dropout_breakdown_.Count(v.reason);
           if (policy_ != nullptr) {
             policy_->Report(flight.client_id, flight.observation, global, d.technique, false,
                             0.0);
@@ -595,7 +592,7 @@ void AsyncEngine::StepOnce() {
     }
   }
   if (!accepted) {
-    CountDropout(drop_reason, dropout_breakdown_);
+    dropout_breakdown_.Count(drop_reason);
     if (config_.faults.retry_cooldown_rounds > 0 &&
         (drop_reason == DropoutReason::kCrashed || drop_reason == DropoutReason::kCorrupted)) {
       client.cooldown_until_round = version_ + 1 + config_.faults.retry_cooldown_rounds;
@@ -798,20 +795,7 @@ void AsyncEngine::SaveState(CheckpointWriter& w) const {
   w.Size(version_);
   w.F64(last_accuracy_delta_);
   w.Size(rejected_updates_);
-  w.Size(dropout_breakdown_.unavailable);
-  w.Size(dropout_breakdown_.out_of_memory);
-  w.Size(dropout_breakdown_.missed_deadline);
-  w.Size(dropout_breakdown_.departed);
-  w.Size(dropout_breakdown_.crashed);
-  w.Size(dropout_breakdown_.corrupted);
-  w.Size(dropout_breakdown_.rejected);
-  w.Size(dropout_breakdown_.transfer_timed_out);
-  w.Size(dropout_breakdown_.shed);
-  w.Size(dropout_breakdown_.duplicate);
-  w.Size(dropout_breakdown_.replayed);
-  w.Size(dropout_breakdown_.rate_limited);
-  w.Size(dropout_breakdown_.backup_covered);
-  w.Size(dropout_breakdown_.backup_redundant);
+  dropout_breakdown_.SaveState(w);
   w.F64Vec(accuracy_history_);
   SaveRng(w, rng_);
   w.Size(clients_.size());
@@ -865,20 +849,7 @@ void AsyncEngine::LoadState(CheckpointReader& r) {
   version_ = r.Size();
   last_accuracy_delta_ = r.F64();
   rejected_updates_ = r.Size();
-  dropout_breakdown_.unavailable = r.Size();
-  dropout_breakdown_.out_of_memory = r.Size();
-  dropout_breakdown_.missed_deadline = r.Size();
-  dropout_breakdown_.departed = r.Size();
-  dropout_breakdown_.crashed = r.Size();
-  dropout_breakdown_.corrupted = r.Size();
-  dropout_breakdown_.rejected = r.Size();
-  dropout_breakdown_.transfer_timed_out = r.Size();
-  dropout_breakdown_.shed = r.Size();
-  dropout_breakdown_.duplicate = r.Size();
-  dropout_breakdown_.replayed = r.Size();
-  dropout_breakdown_.rate_limited = r.Size();
-  dropout_breakdown_.backup_covered = r.Size();
-  dropout_breakdown_.backup_redundant = r.Size();
+  dropout_breakdown_.LoadState(r);
   accuracy_history_ = r.F64Vec();
   LoadRng(r, rng_);
   const size_t n = r.Size();

@@ -142,21 +142,12 @@ class AsyncEngine {
   double now_s_ = 0.0;
   double last_accuracy_delta_ = 0.0;
   // Pooled per-step scratch for LaunchClients (DESIGN.md §12): cleared on
-  // entry, reused across steps when config_.pool_round_scratch. Contents
-  // never outlive one launch batch, so pooling is bit-invisible; released
-  // each step when the toggle is off so the perf harness can measure both.
+  // entry and reused across steps. Contents never outlive one launch batch.
   struct LaunchScratch {
     std::vector<size_t> candidates;
     std::vector<InFlight> launches;
     std::vector<FaultDecision> faults;
     std::vector<size_t> transfer_rounds;
-
-    void Release() {
-      candidates = decltype(candidates)();
-      launches = decltype(launches)();
-      faults = decltype(faults)();
-      transfer_rounds = decltype(transfer_rounds)();
-    }
   };
   LaunchScratch scratch_;
 };

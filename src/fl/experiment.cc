@@ -2,6 +2,7 @@
 
 #include "src/agg/aggregator.h"
 #include "src/common/check.h"
+#include "src/failure/checkpoint_io.h"
 
 namespace floatfl {
 
@@ -54,6 +55,30 @@ void ValidateExperimentConfig(const ExperimentConfig& config) {
   ValidateTopologyConfig(config.topology);
   ValidateAdmissionConfig(config.admission);
   ValidateSalvageConfig(config.salvage);
+}
+
+void DropoutBreakdown::Count(DropoutReason reason) {
+  const size_t index = static_cast<size_t>(reason);
+  FLOATFL_CHECK_MSG(index < kNumDropoutReasons, "DropoutReason outside kNumDropoutReasons");
+  if (reason != DropoutReason::kNone) {
+    ++counts_[index];
+  }
+}
+
+// The checkpoint block is one counter per reason, so a new reason changes
+// the engine payloads: bump Checkpointer::kVersion along with this count.
+static_assert(kNumDropoutReasons == 16, "new DropoutReason: bump the checkpoint format");
+
+void DropoutBreakdown::SaveState(CheckpointWriter& w) const {
+  for (size_t i = 1; i < kNumDropoutReasons; ++i) {
+    w.Size(counts_[i]);
+  }
+}
+
+void DropoutBreakdown::LoadState(CheckpointReader& r) {
+  for (size_t i = 1; i < kNumDropoutReasons; ++i) {
+    counts_[i] = r.Size();
+  }
 }
 
 }  // namespace floatfl

@@ -3,6 +3,7 @@
 #ifndef SRC_FL_EXPERIMENT_H_
 #define SRC_FL_EXPERIMENT_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -23,6 +24,9 @@
 #include "src/trace/interference.h"
 
 namespace floatfl {
+
+class CheckpointReader;
+class CheckpointWriter;
 
 struct ExperimentConfig {
   // Population and schedule (paper defaults, Section 6.1).
@@ -48,12 +52,6 @@ struct ExperimentConfig {
   // 1 = fully sequential (today's exact path). Results are bit-for-bit
   // identical for every value — see DESIGN.md "Determinism & parallelism".
   size_t num_threads = 0;
-  // Reuse the engine's per-round scratch vectors across rounds instead of
-  // re-allocating them each round (DESIGN.md §12). Scratch contents never
-  // outlive one round, so results are bit-for-bit identical either way;
-  // the toggle exists so bench/perf_harness can measure the before/after.
-  // Excluded from checkpoint fingerprints, like num_threads.
-  bool pool_round_scratch = true;
   // Fault injection and failure handling (DESIGN.md §8). The default
   // (all-zero) FaultConfig is a strict no-op: no fault draws happen and the
   // engines behave bit-for-bit as if the subsystem did not exist.
@@ -117,28 +115,34 @@ enum class DropoutReason : uint32_t {
   kBackupRedundant, // speculative execution that lost the first-valid-wins race
 };
 
-struct DropoutBreakdown {
-  size_t unavailable = 0;   // selected while offline
-  size_t out_of_memory = 0;
-  size_t missed_deadline = 0;
-  size_t departed = 0;      // availability ended mid-round
-  size_t crashed = 0;       // injected mid-training crashes
-  size_t corrupted = 0;     // updates quarantined by server-side validation
-  size_t rejected = 0;      // abandoned by over-selection round close
-  size_t transfer_timed_out = 0;  // lossy transport exhausted retries/budget
-  size_t edge_orphaned = 0;  // no live edge aggregator to report to
-  size_t shed = 0;           // shed by the bounded ingress queue
-  size_t duplicate = 0;      // re-deliveries folded by idempotent admission
-  size_t replayed = 0;       // stale replays rejected by the age gate
-  size_t rate_limited = 0;   // deliveries refused by the token bucket
-  size_t backup_covered = 0;   // interrupted primaries whose backup delivered
-  size_t backup_redundant = 0; // speculative executions charged as redundant
+// Number of DropoutReason values, kNone included. kBackupRedundant must stay
+// the last enumerator: DropoutBreakdown sizes its counters from this.
+inline constexpr size_t kNumDropoutReasons =
+    static_cast<size_t>(DropoutReason::kBackupRedundant) + 1;
 
-  size_t Total() const {
-    return unavailable + out_of_memory + missed_deadline + departed + crashed + corrupted +
-           rejected + transfer_timed_out + edge_orphaned + shed + duplicate + replayed +
-           rate_limited + backup_covered + backup_redundant;
+// Dropouts counted per reason, one counter per DropoutReason value, indexed
+// by the enum. kNone never counts.
+class DropoutBreakdown {
+ public:
+  // Tallies one dropout under `reason`; kNone is a no-op.
+  void Count(DropoutReason reason);
+  size_t operator[](DropoutReason reason) const {
+    return counts_[static_cast<size_t>(reason)];
   }
+  size_t Total() const {
+    size_t total = 0;
+    for (const size_t count : counts_) {
+      total += count;
+    }
+    return total;
+  }
+
+  // Every counter except kNone's, in enum order.
+  void SaveState(CheckpointWriter& w) const;
+  void LoadState(CheckpointReader& r);
+
+ private:
+  std::array<size_t, kNumDropoutReasons> counts_{};
 };
 
 struct ExperimentResult {
@@ -155,7 +159,7 @@ struct ExperimentResult {
   size_t never_completed = 0;
   DropoutBreakdown dropout_breakdown;
   // Updates quarantined by server-side validation (subset of
-  // dropout_breakdown.corrupted bookkeeping; kept as its own counter so
+  // the kCorrupted breakdown bookkeeping; kept as its own counter so
   // defenses are visible without decoding the breakdown).
   size_t rejected_updates = 0;
   // Attack-vs-defense totals (src/metrics/aggregation_tracker.h): selected

@@ -52,56 +52,4 @@ ClientObservation ObserveClientNormalized(Client& client, double now_s,
   return obs;
 }
 
-void CountDropout(DropoutReason reason, DropoutBreakdown& breakdown) {
-  switch (reason) {
-    case DropoutReason::kUnavailable:
-      ++breakdown.unavailable;
-      break;
-    case DropoutReason::kOutOfMemory:
-      ++breakdown.out_of_memory;
-      break;
-    case DropoutReason::kMissedDeadline:
-      ++breakdown.missed_deadline;
-      break;
-    case DropoutReason::kDeparted:
-      ++breakdown.departed;
-      break;
-    case DropoutReason::kCrashed:
-      ++breakdown.crashed;
-      break;
-    case DropoutReason::kCorrupted:
-      ++breakdown.corrupted;
-      break;
-    case DropoutReason::kRejected:
-      ++breakdown.rejected;
-      break;
-    case DropoutReason::kTransferTimedOut:
-      ++breakdown.transfer_timed_out;
-      break;
-    case DropoutReason::kEdgeOrphaned:
-      ++breakdown.edge_orphaned;
-      break;
-    case DropoutReason::kShed:
-      ++breakdown.shed;
-      break;
-    case DropoutReason::kDuplicate:
-      ++breakdown.duplicate;
-      break;
-    case DropoutReason::kReplayed:
-      ++breakdown.replayed;
-      break;
-    case DropoutReason::kRateLimited:
-      ++breakdown.rate_limited;
-      break;
-    case DropoutReason::kBackupCovered:
-      ++breakdown.backup_covered;
-      break;
-    case DropoutReason::kBackupRedundant:
-      ++breakdown.backup_redundant;
-      break;
-    case DropoutReason::kNone:
-      break;
-  }
-}
-
 }  // namespace floatfl

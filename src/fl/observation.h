@@ -40,10 +40,6 @@ ClientObservation ObserveClient(Client& client, double now_s, const PopulationRe
 ClientObservation ObserveClientNormalized(Client& client, double now_s,
                                           const PopulationReference& ref);
 
-// Tallies one dropout reason into the breakdown (kNone is a no-op). The one
-// place the reason -> counter mapping lives; every engine routes through it.
-void CountDropout(DropoutReason reason, DropoutBreakdown& breakdown);
-
 }  // namespace floatfl
 
 #endif  // SRC_FL_OBSERVATION_H_

@@ -845,9 +845,6 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       stats.test_loss = EvaluateLoss();
     }
   }
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
-  }
   return stats;
 }
 

@@ -671,7 +671,7 @@ void SyncEngine::RunRound(size_t round) {
         // selector/guard/cooldown side effects, so folding a duplicate
         // leaves the model trajectory bit-identical to never receiving it.
         tracker_.Record(d.arrival.client_id, d.technique, false, v.reason);
-        CountDropout(v.reason, dropout_breakdown_);
+        dropout_breakdown_.Count(v.reason);
         if (policy_ != nullptr) {
           policy_->Report(d.arrival.client_id, observations[d.idx], global, d.technique, false,
                           0.0);
@@ -770,7 +770,7 @@ void SyncEngine::RunRound(size_t round) {
                                 outcome.transfer_progress_mb, outcome.transfer_backoff_s,
                                 outcome.reason == DropoutReason::kTransferTimedOut);
     }
-    CountDropout(outcome.reason, dropout_breakdown_);
+    dropout_breakdown_.Count(outcome.reason);
     if (tree_on) {
       if (outcome.reason == DropoutReason::kEdgeOrphaned) {
         topo_tracker_.RecordOrphaned(1);
@@ -1042,9 +1042,6 @@ void SyncEngine::RunRound(size_t round) {
   now_s_ += round_duration + kRoundOverheadS;
   accuracy_history_.push_back(surrogate_->GlobalAccuracy());
   ++rounds_run_;
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
-  }
 }
 
 ExperimentResult SyncEngine::Snapshot() const {
@@ -1131,21 +1128,7 @@ void SyncEngine::SaveState(CheckpointWriter& w) const {
   w.F64(now_s_);
   w.Size(rounds_run_);
   w.Size(rejected_updates_);
-  w.Size(dropout_breakdown_.unavailable);
-  w.Size(dropout_breakdown_.out_of_memory);
-  w.Size(dropout_breakdown_.missed_deadline);
-  w.Size(dropout_breakdown_.departed);
-  w.Size(dropout_breakdown_.crashed);
-  w.Size(dropout_breakdown_.corrupted);
-  w.Size(dropout_breakdown_.rejected);
-  w.Size(dropout_breakdown_.transfer_timed_out);
-  w.Size(dropout_breakdown_.edge_orphaned);
-  w.Size(dropout_breakdown_.shed);
-  w.Size(dropout_breakdown_.duplicate);
-  w.Size(dropout_breakdown_.replayed);
-  w.Size(dropout_breakdown_.rate_limited);
-  w.Size(dropout_breakdown_.backup_covered);
-  w.Size(dropout_breakdown_.backup_redundant);
+  dropout_breakdown_.SaveState(w);
   w.F64Vec(accuracy_history_);
   w.Size(clients_.size());
   for (const auto& client : clients_) {
@@ -1184,21 +1167,7 @@ void SyncEngine::LoadState(CheckpointReader& r) {
   now_s_ = r.F64();
   rounds_run_ = r.Size();
   rejected_updates_ = r.Size();
-  dropout_breakdown_.unavailable = r.Size();
-  dropout_breakdown_.out_of_memory = r.Size();
-  dropout_breakdown_.missed_deadline = r.Size();
-  dropout_breakdown_.departed = r.Size();
-  dropout_breakdown_.crashed = r.Size();
-  dropout_breakdown_.corrupted = r.Size();
-  dropout_breakdown_.rejected = r.Size();
-  dropout_breakdown_.transfer_timed_out = r.Size();
-  dropout_breakdown_.edge_orphaned = r.Size();
-  dropout_breakdown_.shed = r.Size();
-  dropout_breakdown_.duplicate = r.Size();
-  dropout_breakdown_.replayed = r.Size();
-  dropout_breakdown_.rate_limited = r.Size();
-  dropout_breakdown_.backup_covered = r.Size();
-  dropout_breakdown_.backup_redundant = r.Size();
+  dropout_breakdown_.LoadState(r);
   accuracy_history_ = r.F64Vec();
   const size_t n = r.Size();
   // A failed reader (truncated/corrupted archive) returns zeros; that is the

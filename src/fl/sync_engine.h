@@ -202,11 +202,9 @@ class SyncEngine {
   // adaptive controller (if enabled) proposes otherwise.
   double round_deadline_s_ = 0.0;
   // Pooled per-round scratch buffers (DESIGN.md §12): cleared at the top of
-  // every RunRound and reused across rounds when config_.pool_round_scratch
-  // (the default), so steady-state rounds allocate only when a round's
-  // cohort outgrows every earlier one. Contents never outlive one round, so
-  // pooling cannot change results; released each round when the toggle is
-  // off so bench/perf_harness can measure the before/after.
+  // every RunRound and reused across rounds, so steady-state rounds allocate
+  // only when a round's cohort outgrows every earlier one. Contents never
+  // outlive one round.
   struct RoundScratch {
     std::vector<ClientObservation> observations;
     std::vector<TechniqueKind> techniques;
@@ -218,17 +216,6 @@ class SyncEngine {
     // Slot i's primary slot when slot i is a speculative backup; kPrimary
     // for ordinary cohort slots (DESIGN.md §16).
     std::vector<size_t> backup_of;
-
-    void Release() {
-      observations = decltype(observations)();
-      techniques = decltype(techniques)();
-      faults = decltype(faults)();
-      outcomes = decltype(outcomes)();
-      completed_idx = decltype(completed_idx)();
-      contributions = decltype(contributions)();
-      edge_decisions = decltype(edge_decisions)();
-      backup_of = decltype(backup_of)();
-    }
   };
   RoundScratch scratch_;
   // One flag per client, all zero between rounds: RunRound marks the

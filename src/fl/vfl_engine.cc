@@ -301,9 +301,6 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
       stats.test_accuracy = EvaluateAccuracy();
     }
   }
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
-  }
   return stats;
 }
 

@@ -52,10 +52,10 @@ void ExpectZeroAdmissionCounters(const ExperimentResult& r) {
   EXPECT_EQ(r.admission_replay_rejected, 0u);
   EXPECT_EQ(r.admission_peak_queue_depth, 0u);
   EXPECT_EQ(r.redundant_mb, 0.0);
-  EXPECT_EQ(r.dropout_breakdown.shed, 0u);
-  EXPECT_EQ(r.dropout_breakdown.duplicate, 0u);
-  EXPECT_EQ(r.dropout_breakdown.replayed, 0u);
-  EXPECT_EQ(r.dropout_breakdown.rate_limited, 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kShed], 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kDuplicate], 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kReplayed], 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kRateLimited], 0u);
 }
 
 TEST(AdmissionNoOpTest, SyncEngineDisabledAdmissionIsByteIdentical) {
@@ -156,7 +156,8 @@ TEST(AdmissionNoOpTest, AsyncStalenessBoundIsLiveEvenWithTheLayerOff) {
   const ExperimentResult rb = b.Run();
 
   // With a zero bound every stale retirement is discarded as missed-deadline.
-  EXPECT_GT(rb.dropout_breakdown.missed_deadline, ra.dropout_breakdown.missed_deadline);
+  EXPECT_GT(rb.dropout_breakdown[DropoutReason::kMissedDeadline],
+            ra.dropout_breakdown[DropoutReason::kMissedDeadline]);
 }
 
 TEST(AdmissionNoOpTest, RealEngineDisabledAdmissionIsByteIdentical) {

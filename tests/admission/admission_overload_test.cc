@@ -99,8 +99,8 @@ TEST(AdmissionOverloadTest, SyncGateBeatsUngatedUnderStorm) {
   // The gate turned the redundant deliveries away at the doorstep.
   EXPECT_EQ(r_on.redundant_mb, 0.0);
   EXPECT_GT(r_on.admission_deduplicated + r_on.admission_replay_rejected, 0u);
-  EXPECT_EQ(r_on.dropout_breakdown.duplicate, r_on.admission_deduplicated);
-  EXPECT_EQ(r_on.dropout_breakdown.replayed, r_on.admission_replay_rejected);
+  EXPECT_EQ(r_on.dropout_breakdown[DropoutReason::kDuplicate], r_on.admission_deduplicated);
+  EXPECT_EQ(r_on.dropout_breakdown[DropoutReason::kReplayed], r_on.admission_replay_rejected);
 }
 
 TEST(AdmissionOverloadTest, AsyncGateBeatsUngatedUnderStorm) {

@@ -142,13 +142,20 @@ void ExpectResultsIdentical(const ExperimentResult& a, const ExperimentResult& b
   EXPECT_EQ(a.never_selected, b.never_selected);
   EXPECT_EQ(a.never_completed, b.never_completed);
   EXPECT_EQ(a.rejected_updates, b.rejected_updates);
-  EXPECT_EQ(a.dropout_breakdown.unavailable, b.dropout_breakdown.unavailable);
-  EXPECT_EQ(a.dropout_breakdown.out_of_memory, b.dropout_breakdown.out_of_memory);
-  EXPECT_EQ(a.dropout_breakdown.missed_deadline, b.dropout_breakdown.missed_deadline);
-  EXPECT_EQ(a.dropout_breakdown.departed, b.dropout_breakdown.departed);
-  EXPECT_EQ(a.dropout_breakdown.crashed, b.dropout_breakdown.crashed);
-  EXPECT_EQ(a.dropout_breakdown.corrupted, b.dropout_breakdown.corrupted);
-  EXPECT_EQ(a.dropout_breakdown.rejected, b.dropout_breakdown.rejected);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kUnavailable],
+            b.dropout_breakdown[DropoutReason::kUnavailable]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kOutOfMemory],
+            b.dropout_breakdown[DropoutReason::kOutOfMemory]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kMissedDeadline],
+            b.dropout_breakdown[DropoutReason::kMissedDeadline]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kDeparted],
+            b.dropout_breakdown[DropoutReason::kDeparted]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kCrashed],
+            b.dropout_breakdown[DropoutReason::kCrashed]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kCorrupted],
+            b.dropout_breakdown[DropoutReason::kCorrupted]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kRejected],
+            b.dropout_breakdown[DropoutReason::kRejected]);
   EXPECT_EQ(a.useful.compute_hours, b.useful.compute_hours);
   EXPECT_EQ(a.useful.comm_hours, b.useful.comm_hours);
   EXPECT_EQ(a.useful.memory_tb, b.useful.memory_tb);

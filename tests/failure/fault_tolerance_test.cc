@@ -47,7 +47,7 @@ TEST(FaultToleranceTest, CertainCrashKillsEverySelectedClient) {
   const ExperimentResult r = RunSync(config);
   EXPECT_GT(r.total_selected, 0u);
   EXPECT_EQ(r.total_completed, 0u);
-  EXPECT_EQ(r.dropout_breakdown.crashed, r.total_selected);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kCrashed], r.total_selected);
   EXPECT_EQ(r.dropout_breakdown.Total(), r.total_dropouts);
   // A crash mid-round burns resources that are charged as waste.
   EXPECT_GT(r.wasted.compute_hours, 0.0);
@@ -61,7 +61,7 @@ TEST(FaultToleranceTest, CertainCorruptionQuarantinesEveryUpdate) {
   const ExperimentResult r = RunSync(config);
   EXPECT_GT(r.total_selected, 0u);
   EXPECT_EQ(r.total_completed, 0u);
-  EXPECT_EQ(r.dropout_breakdown.corrupted, r.total_selected);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kCorrupted], r.total_selected);
   EXPECT_EQ(r.rejected_updates, r.total_selected);
   EXPECT_EQ(r.dropout_breakdown.Total(), r.total_dropouts);
 }
@@ -74,7 +74,7 @@ TEST(FaultToleranceTest, PermanentBlackoutMakesEveryoneUnavailable) {
   const ExperimentResult r = RunSync(config);
   EXPECT_GT(r.total_selected, 0u);
   EXPECT_EQ(r.total_completed, 0u);
-  EXPECT_EQ(r.dropout_breakdown.unavailable, r.total_selected);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kUnavailable], r.total_selected);
   // Unreachable clients never start: nothing to charge anywhere.
   EXPECT_EQ(r.wasted.compute_hours, 0.0);
 }
@@ -90,9 +90,9 @@ TEST(FaultToleranceTest, SyncBreakdownTotalsMatchUnderMixedFaults) {
   const ExperimentResult r = RunSync(config);
   EXPECT_EQ(r.total_selected, r.total_completed + r.total_dropouts);
   EXPECT_EQ(r.dropout_breakdown.Total(), r.total_dropouts);
-  EXPECT_GT(r.dropout_breakdown.crashed, 0u);
-  EXPECT_GT(r.dropout_breakdown.corrupted, 0u);
-  EXPECT_EQ(r.dropout_breakdown.corrupted, r.rejected_updates);
+  EXPECT_GT(r.dropout_breakdown[DropoutReason::kCrashed], 0u);
+  EXPECT_GT(r.dropout_breakdown[DropoutReason::kCorrupted], 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kCorrupted], r.rejected_updates);
 }
 
 TEST(FaultToleranceTest, AsyncBreakdownTotalsMatchUnderMixedFaults) {
@@ -102,7 +102,7 @@ TEST(FaultToleranceTest, AsyncBreakdownTotalsMatchUnderMixedFaults) {
   const ExperimentResult r = RunAsync(config);
   EXPECT_EQ(r.total_selected, r.total_completed + r.total_dropouts);
   EXPECT_EQ(r.dropout_breakdown.Total(), r.total_dropouts);
-  EXPECT_GT(r.dropout_breakdown.crashed, 0u);
+  EXPECT_GT(r.dropout_breakdown[DropoutReason::kCrashed], 0u);
   EXPECT_GT(r.rejected_updates, 0u);
 }
 
@@ -113,7 +113,8 @@ TEST(FaultToleranceTest, AsyncFaultsAreDeterministic) {
   const ExperimentResult a = RunAsync(config);
   const ExperimentResult b = RunAsync(config);
   EXPECT_EQ(a.total_completed, b.total_completed);
-  EXPECT_EQ(a.dropout_breakdown.crashed, b.dropout_breakdown.crashed);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kCrashed],
+            b.dropout_breakdown[DropoutReason::kCrashed]);
   EXPECT_EQ(a.rejected_updates, b.rejected_updates);
   EXPECT_EQ(a.accuracy_avg, b.accuracy_avg);
   EXPECT_EQ(a.wall_clock_hours, b.wall_clock_hours);
@@ -135,7 +136,7 @@ TEST(FaultToleranceTest, OvercommitShrinksRoundsAndChargesWaste) {
   // Closing at the first K completions strictly shortens the mean round.
   EXPECT_LT(padded.wall_clock_hours, exact.wall_clock_hours);
   // The abandoned stragglers show up as rejected dropouts and as waste.
-  EXPECT_GT(padded.dropout_breakdown.rejected, 0u);
+  EXPECT_GT(padded.dropout_breakdown[DropoutReason::kRejected], 0u);
   EXPECT_GT(padded.wasted.compute_hours, exact.wasted.compute_hours);
   EXPECT_GT(padded.total_selected, exact.total_selected);
   EXPECT_EQ(padded.dropout_breakdown.Total(), padded.total_dropouts);
@@ -155,7 +156,7 @@ TEST(FaultToleranceTest, CooldownPreventsImmediateRetryOfCrashedClients) {
   for (size_t selected : r.per_client_selected) {
     EXPECT_LE(selected, 1u);
   }
-  EXPECT_EQ(r.total_selected, r.dropout_breakdown.crashed);
+  EXPECT_EQ(r.total_selected, r.dropout_breakdown[DropoutReason::kCrashed]);
 }
 
 TEST(FaultToleranceTest, CooldownBenchesExactlyTheCrashedRounds) {
@@ -254,9 +255,12 @@ TEST(FaultToleranceTest, SyncFaultsAreThreadCountInvariant) {
     EXPECT_EQ(r.total_selected, base.total_selected) << threads;
     EXPECT_EQ(r.total_completed, base.total_completed) << threads;
     EXPECT_EQ(r.rejected_updates, base.rejected_updates) << threads;
-    EXPECT_EQ(r.dropout_breakdown.crashed, base.dropout_breakdown.crashed) << threads;
-    EXPECT_EQ(r.dropout_breakdown.corrupted, base.dropout_breakdown.corrupted) << threads;
-    EXPECT_EQ(r.dropout_breakdown.rejected, base.dropout_breakdown.rejected) << threads;
+    EXPECT_EQ(r.dropout_breakdown[DropoutReason::kCrashed],
+              base.dropout_breakdown[DropoutReason::kCrashed]) << threads;
+    EXPECT_EQ(r.dropout_breakdown[DropoutReason::kCorrupted],
+              base.dropout_breakdown[DropoutReason::kCorrupted]) << threads;
+    EXPECT_EQ(r.dropout_breakdown[DropoutReason::kRejected],
+              base.dropout_breakdown[DropoutReason::kRejected]) << threads;
     EXPECT_EQ(r.accuracy_avg, base.accuracy_avg) << threads;
     EXPECT_EQ(r.wall_clock_hours, base.wall_clock_hours) << threads;
     EXPECT_EQ(r.accuracy_history, base.accuracy_history) << threads;
@@ -279,7 +283,8 @@ TEST(FaultToleranceTest, AsyncFaultsAreThreadCountInvariant) {
     const ExperimentResult r = engine.Run();
     EXPECT_EQ(r.total_completed, base.total_completed) << threads;
     EXPECT_EQ(r.rejected_updates, base.rejected_updates) << threads;
-    EXPECT_EQ(r.dropout_breakdown.crashed, base.dropout_breakdown.crashed) << threads;
+    EXPECT_EQ(r.dropout_breakdown[DropoutReason::kCrashed],
+              base.dropout_breakdown[DropoutReason::kCrashed]) << threads;
     EXPECT_EQ(r.accuracy_avg, base.accuracy_avg) << threads;
     EXPECT_EQ(r.wall_clock_hours, base.wall_clock_hours) << threads;
   }

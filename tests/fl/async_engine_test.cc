@@ -77,8 +77,8 @@ TEST(AsyncEngineTest, NoDropoutModeHasNoWaste) {
   AsyncEngine engine(config, nullptr);
   const ExperimentResult result = engine.Run();
   // Staleness discards can still occur, but availability/OOM dropouts can't.
-  EXPECT_EQ(result.dropout_breakdown.out_of_memory, 0u);
-  EXPECT_EQ(result.dropout_breakdown.departed, 0u);
+  EXPECT_EQ(result.dropout_breakdown[DropoutReason::kOutOfMemory], 0u);
+  EXPECT_EQ(result.dropout_breakdown[DropoutReason::kDeparted], 0u);
 }
 
 }  // namespace

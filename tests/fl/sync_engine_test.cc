@@ -98,7 +98,8 @@ TEST(SyncEngineTest, StaticAggressivePolicyReducesDeadlineDropouts) {
   SyncEngine accelerated(config, &s2, &policy);
   const ExperimentResult fast = accelerated.Run();
 
-  EXPECT_LT(fast.dropout_breakdown.missed_deadline, base.dropout_breakdown.missed_deadline);
+  EXPECT_LT(fast.dropout_breakdown[DropoutReason::kMissedDeadline],
+            base.dropout_breakdown[DropoutReason::kMissedDeadline]);
   EXPECT_GT(fast.total_completed, base.total_completed);
 }
 

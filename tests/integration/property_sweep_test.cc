@@ -1,6 +1,7 @@
 // Parameterized property sweeps: core invariants of the FL engines must hold
 // across every dataset, interference scenario, selector and seed combination
-// the benches exercise.
+// the benches exercise. The async engine does its own (FedBuff) selection,
+// so its sweep has no selector axis.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -25,6 +26,21 @@ std::unique_ptr<Selector> MakeSelector(const std::string& name, const Experiment
   return std::make_unique<RandomSelector>(config.seed);
 }
 
+ExperimentConfig SweepConfig(DatasetId dataset, InterferenceScenario interference,
+                             uint64_t seed) {
+  ExperimentConfig config;
+  config.num_clients = 50;
+  config.clients_per_round = 10;
+  config.rounds = 25;
+  config.dataset = dataset;
+  config.model = ModelId::kResNet34;
+  config.interference = interference;
+  config.seed = seed;
+  config.async_concurrency = 25;
+  config.async_buffer = 10;
+  return config;
+}
+
 using SweepParam = std::tuple<DatasetId, InterferenceScenario, std::string, uint64_t>;
 
 class EngineSweep : public ::testing::TestWithParam<SweepParam> {
@@ -32,19 +48,19 @@ class EngineSweep : public ::testing::TestWithParam<SweepParam> {
   ExperimentConfig Config() const {
     const auto& [dataset, interference, selector, seed] = GetParam();
     (void)selector;
-    ExperimentConfig config;
-    config.num_clients = 50;
-    config.clients_per_round = 10;
-    config.rounds = 25;
-    config.dataset = dataset;
-    config.model = ModelId::kResNet34;
-    config.interference = interference;
-    config.seed = seed;
-    config.async_concurrency = 25;
-    config.async_buffer = 10;
-    return config;
+    return SweepConfig(dataset, interference, seed);
   }
   std::string SelectorName() const { return std::get<2>(GetParam()); }
+};
+
+using AsyncSweepParam = std::tuple<DatasetId, InterferenceScenario, uint64_t>;
+
+class AsyncSweep : public ::testing::TestWithParam<AsyncSweepParam> {
+ protected:
+  ExperimentConfig Config() const {
+    const auto& [dataset, interference, seed] = GetParam();
+    return SweepConfig(dataset, interference, seed);
+  }
 };
 
 TEST_P(EngineSweep, SyncInvariantsHold) {
@@ -79,14 +95,12 @@ TEST_P(EngineSweep, SyncInvariantsHold) {
   EXPECT_EQ(completed_sum, r.total_completed);
 }
 
-TEST_P(EngineSweep, AsyncInvariantsHold) {
-  if (SelectorName() != "fedavg") {
-    GTEST_SKIP() << "async engine has its own (FedBuff) selection";
-  }
+TEST_P(AsyncSweep, AsyncInvariantsHold) {
   const ExperimentConfig config = Config();
   AsyncEngine engine(config, nullptr);
   const ExperimentResult r = engine.Run();
   EXPECT_EQ(r.total_selected, r.total_completed + r.total_dropouts);
+  EXPECT_EQ(r.dropout_breakdown.Total(), r.total_dropouts);
   EXPECT_EQ(r.accuracy_history.size(), config.rounds);
   EXPECT_GE(r.total_completed, config.rounds * config.async_buffer);
   EXPECT_LE(r.accuracy_top10, 1.0);
@@ -101,6 +115,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          InterferenceScenario::kStatic,
                                          InterferenceScenario::kDynamic),
                        ::testing::Values("fedavg", "oort", "refl"),
+                       ::testing::Values(uint64_t{17}, uint64_t{1234})));
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, AsyncSweep,
+    ::testing::Combine(::testing::Values(DatasetId::kFemnist, DatasetId::kCifar10,
+                                         DatasetId::kSpeech, DatasetId::kOpenImage),
+                       ::testing::Values(InterferenceScenario::kNone,
+                                         InterferenceScenario::kStatic,
+                                         InterferenceScenario::kDynamic),
                        ::testing::Values(uint64_t{17}, uint64_t{1234})));
 
 }  // namespace

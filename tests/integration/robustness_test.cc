@@ -43,7 +43,7 @@ TEST(RobustnessTest, HugeDeadlineCompletesAlmostEveryone) {
   const ExperimentResult r = engine.Run();
   // Departures can still occur (huge rounds outlive availability windows),
   // but deadline misses cannot.
-  EXPECT_EQ(r.dropout_breakdown.missed_deadline, 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kMissedDeadline], 0u);
 }
 
 TEST(RobustnessTest, SingleClientFederation) {

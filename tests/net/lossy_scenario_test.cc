@@ -37,10 +37,12 @@ TEST(LossyScenarioTest, ResumableUploadsStrictlyReduceDropoutsAndWaste) {
   EXPECT_GT(resumable.transfer_attempts, 0u);
   EXPECT_GT(restart.retransmitted_mb, 0.0);
 
-  const size_t resumable_deadline_losses = resumable.dropout_breakdown.missed_deadline +
-                                           resumable.dropout_breakdown.transfer_timed_out;
-  const size_t restart_deadline_losses = restart.dropout_breakdown.missed_deadline +
-                                         restart.dropout_breakdown.transfer_timed_out;
+  const size_t resumable_deadline_losses =
+      resumable.dropout_breakdown[DropoutReason::kMissedDeadline] +
+      resumable.dropout_breakdown[DropoutReason::kTransferTimedOut];
+  const size_t restart_deadline_losses =
+      restart.dropout_breakdown[DropoutReason::kMissedDeadline] +
+      restart.dropout_breakdown[DropoutReason::kTransferTimedOut];
   EXPECT_LT(resumable_deadline_losses, restart_deadline_losses);
   EXPECT_LT(resumable.retransmitted_mb, restart.retransmitted_mb);
   // And the flip side of fewer dropouts: more completed client-rounds.

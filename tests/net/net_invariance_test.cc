@@ -49,8 +49,10 @@ void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.total_selected, b.total_selected);
   EXPECT_EQ(a.total_completed, b.total_completed);
   EXPECT_EQ(a.total_dropouts, b.total_dropouts);
-  EXPECT_EQ(a.dropout_breakdown.missed_deadline, b.dropout_breakdown.missed_deadline);
-  EXPECT_EQ(a.dropout_breakdown.transfer_timed_out, b.dropout_breakdown.transfer_timed_out);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kMissedDeadline],
+            b.dropout_breakdown[DropoutReason::kMissedDeadline]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kTransferTimedOut],
+            b.dropout_breakdown[DropoutReason::kTransferTimedOut]);
   EXPECT_EQ(a.useful.compute_hours, b.useful.compute_hours);
   EXPECT_EQ(a.useful.comm_hours, b.useful.comm_hours);
   EXPECT_EQ(a.wasted.comm_hours, b.wasted.comm_hours);

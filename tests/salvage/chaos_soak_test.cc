@@ -140,7 +140,7 @@ TEST(ChaosSoakTest, SyncEngineSurvivesTheFullStormWithSalvageArmed) {
   const ExperimentResult result = full.Run();
 
   // Premise: the storm actually exercised every subsystem.
-  EXPECT_GT(result.dropout_breakdown.crashed, 0u);
+  EXPECT_GT(result.dropout_breakdown[DropoutReason::kCrashed], 0u);
   EXPECT_GT(result.rejected_updates, 0u);
   EXPECT_GT(result.byzantine_selected, 0u);
   EXPECT_GT(result.transfer_attempts, 0u);
@@ -186,7 +186,7 @@ TEST(ChaosSoakTest, AsyncEngineSurvivesTheFullStormWithSalvageArmed) {
   AsyncEngine full(config, &full_pol);
   const ExperimentResult result = full.Run();
 
-  EXPECT_GT(result.dropout_breakdown.crashed, 0u);
+  EXPECT_GT(result.dropout_breakdown[DropoutReason::kCrashed], 0u);
   EXPECT_GT(result.byzantine_selected, 0u);
   EXPECT_GT(result.admission_deduplicated + result.admission_replay_rejected, 0u);
   EXPECT_GT(result.partials_salvaged, 0u);

@@ -165,14 +165,14 @@ TEST(SalvageAcceptanceTest, SpeculationCutsDeadlineMissesWithinTheWorkBudget) {
 
   // Premise: the baseline actually misses deadlines, and the scheduler
   // actually planned backups against them.
-  EXPECT_GT(r_base.dropout_breakdown.missed_deadline, 0u);
+  EXPECT_GT(r_base.dropout_breakdown[DropoutReason::kMissedDeadline], 0u);
   EXPECT_GT(r_spec.backups_planned, 0u);
 
   // Strictly fewer missed-deadline dropouts. A covered primary is
   // re-labeled kBackupCovered, not missed-deadline — the breakdown keeps
   // the two separable, so this inequality measures real averted misses.
-  EXPECT_LT(r_spec.dropout_breakdown.missed_deadline,
-            r_base.dropout_breakdown.missed_deadline);
+  EXPECT_LT(r_spec.dropout_breakdown[DropoutReason::kMissedDeadline],
+            r_base.dropout_breakdown[DropoutReason::kMissedDeadline]);
   EXPECT_GT(r_spec.deadline_misses_averted, 0u);
 
   // Conservation: misses are only averted by winning backups, and no more

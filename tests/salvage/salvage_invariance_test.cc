@@ -68,10 +68,10 @@ TEST(SalvageInvarianceTest, SyncEngineIsThreadCountInvariantWithSalvageArmed) {
     EXPECT_EQ(result.backups_won, reference.backups_won);
     EXPECT_EQ(result.backups_redundant, reference.backups_redundant);
     EXPECT_EQ(result.deadline_misses_averted, reference.deadline_misses_averted);
-    EXPECT_EQ(result.dropout_breakdown.backup_covered,
-              reference.dropout_breakdown.backup_covered);
-    EXPECT_EQ(result.dropout_breakdown.backup_redundant,
-              reference.dropout_breakdown.backup_redundant);
+    EXPECT_EQ(result.dropout_breakdown[DropoutReason::kBackupCovered],
+              reference.dropout_breakdown[DropoutReason::kBackupCovered]);
+    EXPECT_EQ(result.dropout_breakdown[DropoutReason::kBackupRedundant],
+              reference.dropout_breakdown[DropoutReason::kBackupRedundant]);
     EXPECT_EQ(w.buffer(), reference_state) << threads << " threads";
   }
 }

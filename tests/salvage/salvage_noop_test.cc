@@ -55,8 +55,8 @@ void ExpectZeroSalvageCounters(const ExperimentResult& r) {
   EXPECT_EQ(r.backups_won, 0u);
   EXPECT_EQ(r.backups_redundant, 0u);
   EXPECT_EQ(r.deadline_misses_averted, 0u);
-  EXPECT_EQ(r.dropout_breakdown.backup_covered, 0u);
-  EXPECT_EQ(r.dropout_breakdown.backup_redundant, 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kBackupCovered], 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kBackupRedundant], 0u);
 }
 
 TEST(SalvageNoOpTest, SyncEngineDisabledSalvageIsByteIdentical) {
@@ -75,7 +75,9 @@ TEST(SalvageNoOpTest, SyncEngineDisabledSalvageIsByteIdentical) {
   const ExperimentResult rb = b.Run();
 
   // Premise: interruptions the armed layer would have salvaged occurred.
-  EXPECT_GT(ra.dropout_breakdown.crashed + ra.dropout_breakdown.missed_deadline, 0u);
+  EXPECT_GT(ra.dropout_breakdown[DropoutReason::kCrashed] +
+                ra.dropout_breakdown[DropoutReason::kMissedDeadline],
+            0u);
 
   EXPECT_EQ(ra.accuracy_history, rb.accuracy_history);
   EXPECT_EQ(ra.global_accuracy, rb.global_accuracy);

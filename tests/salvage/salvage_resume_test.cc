@@ -2,8 +2,9 @@
 // §16): a run interrupted at the halfway point — salvage counters
 // accumulated, the backup ring cursor advanced, straggler profiles formed —
 // must finish bit-identical to the uninterrupted run. The salvage layer
-// bumped the checkpoint format to v9; an armed archive asserts that and a
-// version-patched v8 copy is refused instead of misparsed.
+// bumped the checkpoint format to v9 and the shared dropout-breakdown block
+// to v10; an armed archive asserts that and a version-patched v9 copy is
+// refused instead of misparsed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -64,7 +65,7 @@ void ExpectIdenticalFinalState(const ExperimentResult& expected, const Experimen
 TEST(SalvageResumeTest, SyncFiftyPlusFiftyIsBitExact) {
   const ExperimentConfig config = ArmedConfig();
   const std::string path = TempPath("salvage_sync_resume.ckpt");
-  ASSERT_EQ(Checkpointer::kVersion, 9u);
+  ASSERT_EQ(Checkpointer::kVersion, 10u);
 
   RandomSelector full_sel(config.seed);
   StaticPolicy full_pol(TechniqueKind::kQuant8);
@@ -184,10 +185,10 @@ TEST(SalvageResumeTest, RealHalfPlusHalfIsBitExact) {
   std::remove(path.c_str());
 }
 
-TEST(SalvageResumeTest, ArmedArchiveIsV9AndAPatchedV8CopyIsRefused) {
+TEST(SalvageResumeTest, ArmedArchiveIsV10AndAPatchedV9CopyIsRefused) {
   ExperimentConfig config = ArmedConfig();
   config.rounds = 6;
-  const std::string path = TempPath("salvage_v8_refusal.ckpt");
+  const std::string path = TempPath("salvage_v9_refusal.ckpt");
 
   RandomSelector selector(config.seed);
   StaticPolicy policy(TechniqueKind::kQuant8);
@@ -195,13 +196,13 @@ TEST(SalvageResumeTest, ArmedArchiveIsV9AndAPatchedV8CopyIsRefused) {
   engine.RunRound(0);
   ASSERT_TRUE(Checkpointer::Save(path, engine));
 
-  // The archive restores under the current (v9) format.
+  // The archive restores under the current (v10) format.
   RandomSelector ok_sel(config.seed);
   StaticPolicy ok_pol(TechniqueKind::kQuant8);
   SyncEngine ok_target(config, &ok_sel, &ok_pol);
   EXPECT_TRUE(Checkpointer::Restore(path, ok_target));
 
-  // Patch the version word (bytes 4..7, after the magic) down to 8: an
+  // Patch the version word (bytes 4..7, after the magic) down to 9: an
   // older-layout archive must be refused, not misparsed into salvage state.
   std::string bytes;
   {
@@ -210,7 +211,7 @@ TEST(SalvageResumeTest, ArmedArchiveIsV9AndAPatchedV8CopyIsRefused) {
     bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
   ASSERT_GE(bytes.size(), 8u);
-  bytes[4] = 8;
+  bytes[4] = 9;
   bytes[5] = 0;
   bytes[6] = 0;
   bytes[7] = 0;
@@ -219,10 +220,10 @@ TEST(SalvageResumeTest, ArmedArchiveIsV9AndAPatchedV8CopyIsRefused) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  RandomSelector v8_sel(config.seed);
-  StaticPolicy v8_pol(TechniqueKind::kQuant8);
-  SyncEngine v8_target(config, &v8_sel, &v8_pol);
-  EXPECT_FALSE(Checkpointer::Restore(path, v8_target));
+  RandomSelector v9_sel(config.seed);
+  StaticPolicy v9_pol(TechniqueKind::kQuant8);
+  SyncEngine v9_target(config, &v9_sel, &v9_pol);
+  EXPECT_FALSE(Checkpointer::Restore(path, v9_target));
   std::remove(path.c_str());
 }
 

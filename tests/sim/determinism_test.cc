@@ -63,10 +63,14 @@ void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.total_selected, b.total_selected);
   EXPECT_EQ(a.total_completed, b.total_completed);
   EXPECT_EQ(a.total_dropouts, b.total_dropouts);
-  EXPECT_EQ(a.dropout_breakdown.unavailable, b.dropout_breakdown.unavailable);
-  EXPECT_EQ(a.dropout_breakdown.out_of_memory, b.dropout_breakdown.out_of_memory);
-  EXPECT_EQ(a.dropout_breakdown.missed_deadline, b.dropout_breakdown.missed_deadline);
-  EXPECT_EQ(a.dropout_breakdown.departed, b.dropout_breakdown.departed);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kUnavailable],
+            b.dropout_breakdown[DropoutReason::kUnavailable]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kOutOfMemory],
+            b.dropout_breakdown[DropoutReason::kOutOfMemory]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kMissedDeadline],
+            b.dropout_breakdown[DropoutReason::kMissedDeadline]);
+  EXPECT_EQ(a.dropout_breakdown[DropoutReason::kDeparted],
+            b.dropout_breakdown[DropoutReason::kDeparted]);
   ExpectSameTotals(a.useful, b.useful);
   ExpectSameTotals(a.wasted, b.wasted);
   EXPECT_EQ(a.wall_clock_hours, b.wall_clock_hours);
@@ -171,7 +175,7 @@ TEST(DeterminismTest, SyncEngineParallelObserveIsThreadCountInvariantWithEveryth
     if (threads == 1) {
       // The run must exercise the paths it claims to cover.
       EXPECT_GT(result.backups_planned, 0u);
-      EXPECT_GT(result.dropout_breakdown.crashed, 0u);
+      EXPECT_GT(result.dropout_breakdown[DropoutReason::kCrashed], 0u);
       EXPECT_GT(result.edge_crashes, 0u);
       EXPECT_GT(result.reparented_clients, 0u);
       baseline = result;

@@ -47,7 +47,7 @@ TEST(TopologyFailoverTest, SyncFailoverBeatsOrphaningUnderEdgeCrashes) {
   EXPECT_LT(with_failover.orphaned_clients, without.orphaned_clients);
   EXPECT_GT(without.orphaned_clients, 0u);
   EXPECT_EQ(without.reparented_clients, 0u);
-  EXPECT_EQ(without.dropout_breakdown.edge_orphaned, without.orphaned_clients);
+  EXPECT_EQ(without.dropout_breakdown[DropoutReason::kEdgeOrphaned], without.orphaned_clients);
 
   // The headline: strictly more completed client updates, strictly better
   // final quality.

@@ -66,7 +66,7 @@ void ExpectZeroTopologyCounters(const ExperimentResult& r) {
   EXPECT_EQ(r.late_partials, 0u);
   EXPECT_EQ(r.tier1_wire_mb, 0.0);
   EXPECT_EQ(r.tier1_retransmitted_mb, 0.0);
-  EXPECT_EQ(r.dropout_breakdown.edge_orphaned, 0u);
+  EXPECT_EQ(r.dropout_breakdown[DropoutReason::kEdgeOrphaned], 0u);
 }
 
 TEST(TopologyNoOpTest, SyncEngineStarTopologyIsByteIdentical) {
