@@ -1,16 +1,18 @@
 // Continuous performance harness (DESIGN.md §12).
 //
-// Runs fixed-scale scenarios for three areas and emits one machine-readable
+// Runs fixed-scale scenarios for four areas and emits one machine-readable
 // trajectory file per area:
 //
 //   BENCH_agg.json        reference vs blocked aggregation, all five rules
 //   BENCH_trace.json      repeated trace queries on a timestamp ladder
 //   BENCH_round_loop.json full engine round loops
+//   BENCH_nn.json         dense kernels and an SGD epoch at real-MLP shapes
 //
-// The agg before/after pair is also *checked* here: the blocked variant
-// must produce bit-identical outputs to the reference rule, so a harness
-// run that measures a non-equivalent optimization aborts — the JSON never
-// records numbers from a wrong computation.
+// The agg before/after pair and the nn cases are also *checked* here: the
+// blocked variant must produce bit-identical outputs to the reference rule
+// and the dense kernels to the scalar oracle, so a harness run that
+// measures a non-equivalent optimization aborts — the JSON never records
+// numbers from a wrong computation.
 //
 // Usage: perf_harness [--out DIR] [--scale-factor N]
 //   --out DIR        directory for the BENCH_*.json files (default ".")
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/kernel_oracle.h"
 #include "bench/perf_util.h"
 #include "src/agg/aggregator.h"
 #include "src/agg/reference.h"
@@ -31,6 +34,8 @@
 #include "src/common/rng.h"
 #include "src/fl/real_engine.h"
 #include "src/fl/vfl_engine.h"
+#include "src/nn/mlp.h"
+#include "src/nn/optimizer.h"
 #include "src/trace/compute_trace.h"
 #include "src/trace/interference.h"
 #include "src/trace/network_trace.h"
@@ -329,6 +334,156 @@ void BenchRoundLoop(std::vector<PerfSample>& out) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Area "nn": the dense kernels and one SGD epoch at the real-MLP shapes
+// (batch 20; 64 -> 128 -> 64 -> 10), where real_mlp_float spends its time.
+// Each case first checks its outputs against the scalar oracle
+// (bench/kernel_oracle.h) and aborts on any differing bit.
+// ---------------------------------------------------------------------------
+
+const std::vector<size_t> kRealMlpDims = {64, 128, 64, 10};
+constexpr size_t kRealMlpBatch = 20;
+
+// One layer's operands: activations (batch x in, ReLU-sparse past the first
+// layer), weights (in x out) and the gradient arriving at its output
+// (batch x out).
+struct LayerOperands {
+  Tensor x;
+  Tensor w;
+  Tensor g;
+};
+
+std::vector<LayerOperands> RealMlpOperands() {
+  Rng rng(20261019);
+  std::vector<LayerOperands> layers;
+  for (size_t l = 0; l + 1 < kRealMlpDims.size(); ++l) {
+    LayerOperands op;
+    op.x = Tensor(kRealMlpBatch, kRealMlpDims[l]);
+    for (float& v : op.x.flat()) {
+      v = static_cast<float>(rng.Normal());
+      if (l > 0) {
+        v = std::max(v, 0.0f);
+      }
+    }
+    op.w = Tensor::GlorotUniform(kRealMlpDims[l], kRealMlpDims[l + 1], rng);
+    op.g = Tensor(kRealMlpBatch, kRealMlpDims[l + 1]);
+    for (float& v : op.g.flat()) {
+      v = static_cast<float>(rng.Normal(0.0, 0.05));
+    }
+    layers.push_back(std::move(op));
+  }
+  return layers;
+}
+
+// Times `iters` passes of `kernel` over every layer's operands. work_units
+// is the dense multiply-add count, so it is exact and shape-only.
+template <typename Kernel, typename Oracle>
+void BenchNnKernel(std::vector<PerfSample>& out, const char* case_name, size_t iters,
+                   const Kernel& kernel, const Oracle& oracle) {
+  const std::vector<LayerOperands> layers = RealMlpOperands();
+  std::vector<Tensor> results(layers.size());
+  double macs = 0.0;
+  for (size_t l = 0; l < layers.size(); ++l) {
+    kernel(layers[l], &results[l]);
+    FLOATFL_CHECK_MSG(BitsEqual(results[l], oracle(layers[l])),
+                      "dense kernel diverged from the scalar oracle");
+    macs += static_cast<double>(layers[l].x.rows() * layers[l].w.rows() * layers[l].w.cols());
+  }
+  PerfSample sample;
+  sample.area = "nn";
+  sample.case_name = case_name;
+  sample.scale = "real_mlp";
+  sample.variant = "default";
+  sample.work_units = macs * static_cast<double>(iters);
+  Measure(sample, [&] {
+    for (size_t i = 0; i < iters; ++i) {
+      for (size_t l = 0; l < layers.size(); ++l) {
+        kernel(layers[l], &results[l]);
+      }
+    }
+  });
+  out.push_back(sample);
+  std::cout << "nn/" << case_name << "/real_mlp: " << sample.wall_seconds << "s\n";
+}
+
+// One epoch of TrainSgd over a 100-sample shard, starting each time from the
+// same parameters and RNG state, as a real-engine client does.
+void BenchTrainEpoch(std::vector<PerfSample>& out, size_t iters) {
+  Rng rng(20261020);
+  const Mlp init(kRealMlpDims, rng);
+  const std::vector<float> params = init.GetParameters();
+  Tensor inputs(100, kRealMlpDims.front());
+  for (float& v : inputs.flat()) {
+    v = static_cast<float>(rng.Normal());
+  }
+  std::vector<int> labels(inputs.rows());
+  for (int& label : labels) {
+    label = static_cast<int>(rng.UniformInt(kRealMlpDims.back()));
+  }
+  SgdConfig config;
+  config.batch_size = kRealMlpBatch;
+  config.epochs = 1;
+  const auto train = [&] {
+    Rng client_rng(7);
+    Mlp model(kRealMlpDims, params, client_rng);
+    TrainSgd(model, inputs, labels, config, client_rng);
+    return model;
+  };
+
+  // The oracle epoch replays TrainSgd's batch order with oracle steps.
+  Rng client_rng(7);
+  Mlp oracle(kRealMlpDims, params, client_rng);
+  const std::vector<size_t> order = client_rng.Permutation(inputs.rows());
+  for (size_t start = 0; start < inputs.rows(); start += config.batch_size) {
+    const size_t count = std::min(config.batch_size, inputs.rows() - start);
+    Tensor batch(count, inputs.cols());
+    std::vector<int> batch_labels(count);
+    for (size_t b = 0; b < count; ++b) {
+      for (size_t j = 0; j < inputs.cols(); ++j) {
+        batch.At(b, j) = inputs.At(order[start + b], j);
+      }
+      batch_labels[b] = labels[order[start + b]];
+    }
+    OracleTrainBatch(oracle, batch, batch_labels, config.learning_rate);
+  }
+  const Mlp trained = train();
+  for (size_t l = 0; l < trained.NumLayers(); ++l) {
+    FLOATFL_CHECK_MSG(BitsEqual(trained.layer(l).weights(), oracle.layer(l).weights()) &&
+                          BitsEqual(trained.layer(l).bias(), oracle.layer(l).bias()),
+                      "TrainSgd diverged from the oracle SGD epoch");
+  }
+
+  PerfSample sample;
+  sample.area = "nn";
+  sample.case_name = "train_sgd_epoch";
+  sample.scale = "real_mlp";
+  sample.variant = "default";
+  sample.work_units = static_cast<double>(iters * inputs.rows());  // samples trained
+  Measure(sample, [&] {
+    for (size_t i = 0; i < iters; ++i) {
+      train();
+    }
+  });
+  out.push_back(sample);
+  std::cout << "nn/train_sgd_epoch/real_mlp: " << sample.wall_seconds << "s\n";
+}
+
+void BenchNn(std::vector<PerfSample>& out) {
+  BenchNnKernel(
+      out, "matmul", Scaled(10000),
+      [](const LayerOperands& op, Tensor* r) { op.x.MatMulInto(op.w, r); },
+      [](const LayerOperands& op) { return OracleMatMul(op.x, op.w); });
+  BenchNnKernel(
+      out, "matmul_transposed", Scaled(7000),
+      [](const LayerOperands& op, Tensor* r) { op.g.MatMulTransposedInto(op.w, r); },
+      [](const LayerOperands& op) { return OracleMatMulTransposed(op.g, op.w); });
+  BenchNnKernel(
+      out, "transposed_matmul", Scaled(9000),
+      [](const LayerOperands& op, Tensor* r) { op.x.TransposedMatMulInto(op.g, r); },
+      [](const LayerOperands& op) { return OracleTransposedMatMul(op.x, op.g); });
+  BenchTrainEpoch(out, Scaled(400));
+}
+
 int Main(int argc, char** argv) {
   std::string out_dir = ".";
   for (int i = 1; i < argc; ++i) {
@@ -348,10 +503,11 @@ int Main(int argc, char** argv) {
     std::cout << "note: counting allocator not linked; allocations will read 0\n";
   }
 
-  std::vector<PerfSample> agg, trace, round_loop;
+  std::vector<PerfSample> agg, trace, round_loop, nn;
   BenchAgg(agg);
   BenchTrace(trace);
   BenchRoundLoop(round_loop);
+  BenchNn(nn);
 
   const auto write = [&](const char* name, const std::vector<PerfSample>& samples) {
     const std::string path = out_dir + "/" + name;
@@ -364,6 +520,7 @@ int Main(int argc, char** argv) {
   write("BENCH_agg.json", agg);
   write("BENCH_trace.json", trace);
   write("BENCH_round_loop.json", round_loop);
+  write("BENCH_nn.json", nn);
   return 0;
 }
 

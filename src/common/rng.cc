@@ -39,6 +39,12 @@ uint64_t Rng::NextU64() {
   return result;
 }
 
+void Rng::Discard(uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) {
+    NextU64();
+  }
+}
+
 double Rng::NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }

@@ -22,6 +22,10 @@ class Rng {
   // Uniform over the full 64-bit range.
   uint64_t NextU64();
 
+  // Advances the stream exactly as `n` NextU64() calls would, without
+  // producing values. The Box–Muller cache is left as it is.
+  void Discard(uint64_t n);
+
   // Uniform in [0, 1).
   double NextDouble();
 

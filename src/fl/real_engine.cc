@@ -325,8 +325,7 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     }
     const size_t id = order[i];
     Rng client_rng = client_stream_root_.ForkKeyed(Rng::StreamKey(round, id));
-    Mlp local(model_dims_, client_rng);
-    local.SetParameters(global_params);
+    Mlp local(model_dims_, global_params, client_rng);
     SgdConfig sgd = config_.sgd;
     sgd.frozen_layers = frozen_layers[i];
     if (interrupted) {

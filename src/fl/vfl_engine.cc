@@ -264,7 +264,7 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
           grad_p.At(r, c) = grad_concat.At(r, p * embed + c);
         }
       }
-      bottoms_[p].Backward(grad_p);
+      bottoms_[p].AccumulateGradients(grad_p);
       bottoms_[p].Step(config_.learning_rate, /*frozen=*/false);
     }
   }

@@ -15,46 +15,60 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, bool relu, Rng& rng)
       grad_b_(1, out_dim),
       relu_(relu) {}
 
-Tensor DenseLayer::Forward(const Tensor& input) {
+DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, bool relu, const float* params)
+    : weights_(in_dim, out_dim),
+      bias_(1, out_dim),
+      grad_w_(in_dim, out_dim),
+      grad_b_(1, out_dim),
+      relu_(relu) {
+  std::copy_n(params, weights_.size(), weights_.data());
+  std::copy_n(params + weights_.size(), bias_.size(), bias_.data());
+}
+
+const Tensor& DenseLayer::Forward(const Tensor& input) {
   FLOATFL_CHECK(input.cols() == weights_.rows());
   last_input_ = input;
-  Tensor out = input.MatMul(weights_);
-  out.AddRowBroadcast(bias_);
-  last_pre_activation_ = out;
+  input.MatMulInto(weights_, &last_pre_activation_);
+  last_pre_activation_.AddRowBroadcast(bias_);
+  output_ = last_pre_activation_;
   if (relu_) {
-    for (auto& x : out.flat()) {
+    for (auto& x : output_.flat()) {
       x = std::max(x, 0.0f);
     }
   }
-  return out;
+  return output_;
 }
 
-Tensor DenseLayer::Backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
+const Tensor& DenseLayer::Backward(const Tensor& grad_output) {
+  AccumulateGradients(grad_output);
+  grad_pre_activation_.MatMulTransposedInto(weights_, &grad_input_);
+  return grad_input_;
+}
+
+void DenseLayer::AccumulateGradients(const Tensor& grad_output) {
+  grad_pre_activation_ = grad_output;
   if (relu_) {
-    FLOATFL_CHECK(grad.SameShape(last_pre_activation_));
-    for (size_t i = 0; i < grad.flat().size(); ++i) {
-      if (last_pre_activation_.flat()[i] <= 0.0f) {
-        grad.flat()[i] = 0.0f;
-      }
+    FLOATFL_CHECK(grad_pre_activation_.SameShape(last_pre_activation_));
+    float* __restrict g = grad_pre_activation_.data();
+    const float* __restrict pre = last_pre_activation_.data();
+    for (size_t i = 0; i < grad_pre_activation_.size(); ++i) {
+      g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
     }
   }
-  grad_w_.AddInPlace(last_input_.TransposedMatMul(grad));
-  grad_b_.AddInPlace(grad.ColSum());
-  return grad.MatMulTransposed(weights_);
+  // The batch gradient is summed from zero on its own and then added, so
+  // gradients accumulated over several Backward calls round as before.
+  last_input_.TransposedMatMulInto(grad_pre_activation_, &batch_grad_w_);
+  grad_w_.AddInPlace(batch_grad_w_);
+  grad_b_.AddInPlace(grad_pre_activation_.ColSum());
 }
 
 void DenseLayer::Step(float lr, bool frozen) {
   if (!frozen) {
-    Tensor dw = grad_w_;
-    dw.ScaleInPlace(lr);
-    weights_.SubInPlace(dw);
-    Tensor db = grad_b_;
-    db.ScaleInPlace(lr);
-    bias_.SubInPlace(db);
+    weights_.SubScaledInPlace(lr, grad_w_);
+    bias_.SubScaledInPlace(lr, grad_b_);
   }
-  grad_w_ = Tensor(grad_w_.rows(), grad_w_.cols());
-  grad_b_ = Tensor(grad_b_.rows(), grad_b_.cols());
+  grad_w_.Reset(grad_w_.rows(), grad_w_.cols());
+  grad_b_.Reset(grad_b_.rows(), grad_b_.cols());
 }
 
 double SoftmaxXent::Loss(const Tensor& logits, const std::vector<int>& labels, Tensor* probs) {

@@ -18,14 +18,24 @@ class Rng;
 class DenseLayer {
  public:
   DenseLayer(size_t in_dim, size_t out_dim, bool relu, Rng& rng);
+  // Takes its parameters from `params`: in_dim * out_dim weights, then
+  // out_dim biases (the Mlp::GetParameters layout). Draws nothing.
+  DenseLayer(size_t in_dim, size_t out_dim, bool relu, const float* params);
 
   // Forward for a batch (batch x in_dim) -> (batch x out_dim). Caches the
-  // input and pre-activation needed for Backward.
-  Tensor Forward(const Tensor& input);
+  // input and pre-activation needed for Backward. The returned activation
+  // lives in the layer and is overwritten by the next Forward.
+  const Tensor& Forward(const Tensor& input);
 
   // Backward pass: takes dL/dy, accumulates weight/bias gradients and returns
-  // dL/dx. Must be called after Forward on the same batch.
-  Tensor Backward(const Tensor& grad_output);
+  // dL/dx, which lives in the layer until the next Backward. Must be called
+  // after Forward on the same batch.
+  const Tensor& Backward(const Tensor& grad_output);
+
+  // Backward without dL/dx, for a layer whose input needs no gradient (the
+  // lowest trained layer of a network). Accumulates exactly what Backward
+  // does.
+  void AccumulateGradients(const Tensor& grad_output);
 
   // Applies an SGD step with the given learning rate and clears gradients.
   // If `frozen` is true the parameters are left untouched (partial training).
@@ -43,8 +53,13 @@ class DenseLayer {
   Tensor bias_;     // 1 x out_dim
   Tensor grad_w_;
   Tensor grad_b_;
+  // Per-batch buffers, reshaped in place from step to step.
   Tensor last_input_;
   Tensor last_pre_activation_;
+  Tensor output_;
+  Tensor grad_pre_activation_;
+  Tensor batch_grad_w_;
+  Tensor grad_input_;
   bool relu_;
 };
 

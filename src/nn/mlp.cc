@@ -15,23 +15,47 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
   }
 }
 
-Tensor Mlp::Forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& layer : layers_) {
-    x = layer.Forward(x);
+Mlp::Mlp(const std::vector<size_t>& dims, const std::vector<float>& params, Rng& rng) {
+  FLOATFL_CHECK(dims.size() >= 2);
+  size_t total = 0;
+  for (size_t i = 0; i + 1 < dims.size(); ++i) {
+    total += (dims[i] + 1) * dims[i + 1];
   }
-  return x;
+  FLOATFL_CHECK(params.size() == total);
+  layers_.reserve(dims.size() - 1);
+  size_t pos = 0;
+  for (size_t i = 0; i + 1 < dims.size(); ++i) {
+    const bool relu = (i + 2 < dims.size());
+    layers_.emplace_back(dims[i], dims[i + 1], relu, params.data() + pos);
+    pos += layers_.back().ParamCount();
+    rng.Discard(dims[i] * dims[i + 1]);  // the layer's Glorot draws
+  }
 }
+
+const Tensor& Mlp::ForwardLayers(const Tensor& input) {
+  const Tensor* x = &input;
+  for (auto& layer : layers_) {
+    x = &layer.Forward(*x);
+  }
+  return *x;
+}
+
+Tensor Mlp::Forward(const Tensor& input) { return ForwardLayers(input); }
 
 double Mlp::TrainBatch(const Tensor& input, const std::vector<int>& labels, float lr,
                        size_t frozen_layers) {
   FLOATFL_CHECK(frozen_layers <= layers_.size());
-  const Tensor logits = Forward(input);
   Tensor probs;
-  const double loss = SoftmaxXent::Loss(logits, labels, &probs);
-  Tensor grad = SoftmaxXent::Gradient(probs, labels);
-  for (size_t i = layers_.size(); i-- > 0;) {
-    grad = layers_[i].Backward(grad);
+  const double loss = SoftmaxXent::Loss(ForwardLayers(input), labels, &probs);
+  const Tensor grad = SoftmaxXent::Gradient(probs, labels);
+  // Frozen layers never step, so backpropagation stops at the lowest trained
+  // layer, which needs its weight gradients but no input gradient.
+  if (frozen_layers < layers_.size()) {
+    const Tensor* g = &grad;
+    for (size_t i = layers_.size() - 1; i > frozen_layers; --i) {
+      g = &layers_[i].Backward(*g);
+    }
+    layers_[frozen_layers].AccumulateGradients(*g);
   }
   for (size_t i = 0; i < layers_.size(); ++i) {
     layers_[i].Step(lr, /*frozen=*/i < frozen_layers);

@@ -23,6 +23,12 @@ class Mlp {
   // layer is linear (logits).
   Mlp(const std::vector<size_t>& dims, Rng& rng);
 
+  // Same network with `params` (the GetParameters layout) in place of the
+  // random initialization. `rng` is advanced exactly as Mlp(dims, rng)
+  // advances it, so later draws match Mlp(dims, rng) + SetParameters(params);
+  // the Glorot draws are skipped rather than computed.
+  Mlp(const std::vector<size_t>& dims, const std::vector<float>& params, Rng& rng);
+
   Tensor Forward(const Tensor& input);
 
   // One SGD step over a batch. `frozen_layers` freezes the *first* k layers
@@ -51,6 +57,9 @@ class Mlp {
                                       const std::vector<double>& weights);
 
  private:
+  // Runs every layer's Forward; the result lives in the last layer.
+  const Tensor& ForwardLayers(const Tensor& input);
+
   std::vector<DenseLayer> layers_;
 };
 

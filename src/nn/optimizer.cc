@@ -28,9 +28,7 @@ TrainResult TrainSgd(Mlp& model, const Tensor& inputs, const std::vector<int>& l
       std::vector<int> batch_labels(count);
       for (size_t b = 0; b < count; ++b) {
         const size_t src = order[start + b];
-        for (size_t j = 0; j < dim; ++j) {
-          batch.At(b, j) = inputs.At(src, j);
-        }
+        std::copy_n(inputs.data() + src * dim, dim, batch.data() + b * dim);
         batch_labels[b] = labels[src];
       }
       result.final_loss = model.TrainBatch(batch, batch_labels,

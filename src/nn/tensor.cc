@@ -35,60 +35,130 @@ float Tensor::At(size_t r, size_t c) const {
   return data_[r * cols_ + c];
 }
 
+namespace {
+
+// y[j] += a * x[j]. Every lane is one rounded multiply and one rounded add,
+// independent of its neighbours, so the vectorized loop produces the same
+// bits as the scalar one (DESIGN.md §12).
+void Axpy(float a, const float* __restrict x, float* __restrict y, size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    y[j] += a * x[j];
+  }
+}
+
+// y[j] += a[t] * x[t][j] for t = 0, 1, ..., m - 1 in that order: the same
+// sequence of rounded multiplies and adds per element as m Axpy calls, but
+// four terms share each load and store of y.
+void AxpyTerms(const float* a, const float* const* x, size_t m, float* __restrict y, size_t n) {
+  size_t t = 0;
+  for (; t + 4 <= m; t += 4) {
+    const float a0 = a[t], a1 = a[t + 1], a2 = a[t + 2], a3 = a[t + 3];
+    const float* __restrict x0 = x[t];
+    const float* __restrict x1 = x[t + 1];
+    const float* __restrict x2 = x[t + 2];
+    const float* __restrict x3 = x[t + 3];
+    for (size_t j = 0; j < n; ++j) {
+      y[j] = (((y[j] + a0 * x0[j]) + a1 * x1[j]) + a2 * x2[j]) + a3 * x3[j];
+    }
+  }
+  for (; t < m; ++t) {
+    Axpy(a[t], x[t], y, n);
+  }
+}
+
+}  // namespace
+
+void Tensor::Reset(size_t rows, size_t cols, float fill) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, fill);
+}
+
 Tensor Tensor::MatMul(const Tensor& other) const {
+  Tensor out;
+  MatMulInto(other, &out);
+  return out;
+}
+
+Tensor Tensor::MatMulTransposed(const Tensor& other) const {
+  Tensor out;
+  MatMulTransposedInto(other, &out);
+  return out;
+}
+
+Tensor Tensor::TransposedMatMul(const Tensor& other) const {
+  Tensor out;
+  TransposedMatMulInto(other, &out);
+  return out;
+}
+
+// Row i of the product accumulates a(i, k) * other.row(k) in k order,
+// skipping a(i, k) == 0 (ReLU zeros make this pay).
+void Tensor::MatMulInto(const Tensor& other, Tensor* out) const {
   FLOATFL_CHECK(cols_ == other.rows_);
-  Tensor out(rows_, other.cols_);
+  FLOATFL_CHECK(out != this && out != &other);
+  const size_t n = other.cols_;
+  out->Reset(rows_, n);
+  std::vector<float> coef(cols_);
+  std::vector<const float*> terms(cols_);
   for (size_t i = 0; i < rows_; ++i) {
+    size_t m = 0;
     for (size_t k = 0; k < cols_; ++k) {
       const float a = data_[i * cols_ + k];
       if (a == 0.0f) {
         continue;
       }
-      const float* brow = &other.data_[k * other.cols_];
-      float* orow = &out.data_[i * other.cols_];
-      for (size_t j = 0; j < other.cols_; ++j) {
-        orow[j] += a * brow[j];
-      }
+      coef[m] = a;
+      terms[m++] = other.data_.data() + k * n;
     }
+    AxpyTerms(coef.data(), terms.data(), m, out->data_.data() + i * n, n);
   }
-  return out;
 }
 
-Tensor Tensor::MatMulTransposed(const Tensor& other) const {
+// Each output element is the dot product of two rows summed in k order from
+// +0. Transposing `other` once turns the dot products into axpys over output
+// rows that keep that order. No zero skip: 0 * Inf must still give NaN.
+void Tensor::MatMulTransposedInto(const Tensor& other, Tensor* out) const {
   FLOATFL_CHECK(cols_ == other.cols_);
-  Tensor out(rows_, other.rows_);
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t j = 0; j < other.rows_; ++j) {
-      float acc = 0.0f;
-      const float* arow = &data_[i * cols_];
-      const float* brow = &other.data_[j * other.cols_];
-      for (size_t k = 0; k < cols_; ++k) {
-        acc += arow[k] * brow[k];
-      }
-      out.data_[i * other.rows_ + j] = acc;
+  FLOATFL_CHECK(out != this && out != &other);
+  const size_t n = other.rows_;
+  std::vector<float> other_t(cols_ * n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t k = 0; k < cols_; ++k) {
+      other_t[k * n + j] = other.data_[j * cols_ + k];
     }
   }
-  return out;
+  std::vector<const float*> terms(cols_);
+  for (size_t k = 0; k < cols_; ++k) {
+    terms[k] = other_t.data() + k * n;
+  }
+  out->Reset(rows_, n);
+  for (size_t i = 0; i < rows_; ++i) {
+    AxpyTerms(data_.data() + i * cols_, terms.data(), cols_, out->data_.data() + i * n, n);
+  }
 }
 
-Tensor Tensor::TransposedMatMul(const Tensor& other) const {
+// Output row i accumulates a(k, i) * other.row(k) in k order, skipping
+// a(k, i) == 0, exactly as the k-outer loop of the textbook form does.
+void Tensor::TransposedMatMulInto(const Tensor& other, Tensor* out) const {
   FLOATFL_CHECK(rows_ == other.rows_);
-  Tensor out(cols_, other.cols_);
-  for (size_t k = 0; k < rows_; ++k) {
-    const float* arow = &data_[k * cols_];
-    const float* brow = &other.data_[k * other.cols_];
-    for (size_t i = 0; i < cols_; ++i) {
-      const float a = arow[i];
+  FLOATFL_CHECK(out != this && out != &other);
+  const size_t n = other.cols_;
+  out->Reset(cols_, n);
+  std::vector<float> coef(rows_);
+  std::vector<const float*> terms(rows_);
+  for (size_t i = 0; i < cols_; ++i) {
+    size_t m = 0;
+    for (size_t k = 0; k < rows_; ++k) {
+      const float a = data_[k * cols_ + i];
       if (a == 0.0f) {
         continue;
       }
-      float* orow = &out.data_[i * other.cols_];
-      for (size_t j = 0; j < other.cols_; ++j) {
-        orow[j] += a * brow[j];
-      }
+      coef[m] = a;
+      terms[m++] = other.data_.data() + k * n;
     }
+    AxpyTerms(coef.data(), terms.data(), m, out->data_.data() + i * n, n);
   }
-  return out;
 }
 
 void Tensor::AddInPlace(const Tensor& other) {
@@ -115,6 +185,15 @@ void Tensor::MulInPlace(const Tensor& other) {
 void Tensor::ScaleInPlace(float s) {
   for (auto& x : data_) {
     x *= s;
+  }
+}
+
+void Tensor::SubScaledInPlace(float s, const Tensor& other) {
+  FLOATFL_CHECK(SameShape(other));
+  float* __restrict dst = data_.data();
+  const float* __restrict src = other.data_.data();
+  for (size_t i = 0; i < data_.size(); ++i) {
+    dst[i] -= s * src[i];
   }
 }
 

@@ -22,6 +22,7 @@ class Tensor {
 
   static Tensor FromVector(const std::vector<float>& v);  // 1 x n
   // Glorot/Xavier-uniform initialization for a (rows x cols) weight matrix.
+  // Takes exactly one rng.NextU64() per element, in row-major order.
   static Tensor GlorotUniform(size_t rows, size_t cols, Rng& rng);
 
   size_t rows() const { return rows_; }
@@ -42,12 +43,25 @@ class Tensor {
   // out = this^T * other.
   Tensor TransposedMatMul(const Tensor& other) const;
 
+  // The same three products written into `*out`, which is reshaped and
+  // zeroed first and keeps its storage when it is large enough. `out` must
+  // not be an operand. Results are bit-identical to the returning forms.
+  void MatMulInto(const Tensor& other, Tensor* out) const;
+  void MatMulTransposedInto(const Tensor& other, Tensor* out) const;
+  void TransposedMatMulInto(const Tensor& other, Tensor* out) const;
+
+  // Reshapes to rows x cols with every element `fill`, reusing storage.
+  void Reset(size_t rows, size_t cols, float fill = 0.0f);
+
   // Element-wise, in place. Shapes must match exactly (AddRowBroadcast
   // broadcasts a 1 x cols row over all rows).
   void AddInPlace(const Tensor& other);
   void SubInPlace(const Tensor& other);
   void MulInPlace(const Tensor& other);
   void ScaleInPlace(float s);
+  // this -= s * other: the product is rounded, then the difference, exactly
+  // as ScaleInPlace on a copy of `other` followed by SubInPlace.
+  void SubScaledInPlace(float s, const Tensor& other);
   void AddRowBroadcast(const Tensor& row);
 
   // Column-wise sum producing 1 x cols.

@@ -274,6 +274,37 @@ TEST(RngTest, ForkKeyedDoesNotAdvanceParent) {
   }
 }
 
+TEST(RngTest, DiscardEqualsThatManyNextU64Calls) {
+  // 17,024 is the real-MLP client model's Glorot draw count (64x128 +
+  // 128x64 + 64x10 weights), the count the real engine discards.
+  for (const uint64_t n : {0ull, 1ull, 17024ull}) {
+    Rng discarded(31);
+    Rng stepped(31);
+    discarded.Discard(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      stepped.NextU64();
+    }
+    EXPECT_EQ(discarded.SaveRaw(), stepped.SaveRaw()) << "n = " << n;
+    EXPECT_EQ(discarded.NextU64(), stepped.NextU64()) << "n = " << n;
+  }
+}
+
+TEST(RngTest, DiscardLeavesAPendingCachedNormal) {
+  Rng rng(32);
+  rng.Normal();  // leaves the pair's second value cached
+  Rng peek = rng;
+  const double pending = peek.Normal();
+  Rng stepped = rng;
+  rng.Discard(17);
+  for (int i = 0; i < 17; ++i) {
+    stepped.NextU64();
+  }
+  EXPECT_EQ(rng.SaveRaw(), stepped.SaveRaw());
+  EXPECT_EQ(rng.SaveRaw()[4], 1u);  // the cache flag survived
+  EXPECT_EQ(rng.Normal(), pending);
+  EXPECT_EQ(rng.NextU64(), stepped.NextU64());
+}
+
 TEST(RngTest, ForkKeyedIsDeterministicPerKey) {
   const Rng parent(99);
   Rng a = parent.ForkKeyed(Rng::StreamKey(3, 17));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
 #include "src/nn/optimizer.h"
@@ -30,6 +32,48 @@ TEST(MlpTest, GetSetParametersRoundTrip) {
   for (size_t i = 0; i < ya.size(); ++i) {
     EXPECT_FLOAT_EQ(ya.flat()[i], yb.flat()[i]);
   }
+}
+
+// The real engine builds each client model straight from the global
+// parameters. It must be indistinguishable from the Glorot-then-overwrite
+// construction it replaced: same parameter bytes, same RNG state after, and
+// the same bits after two epochs of training on that RNG.
+TEST(MlpTest, BuildFromParametersMatchesGlorotThenSet) {
+  const std::vector<size_t> dims = {64, 128, 64, 10};
+  Rng setup(41);
+  Mlp global(dims, setup);
+  SyntheticTaskData task(10, 64, /*separation=*/0.5, setup);
+  Tensor x;
+  std::vector<int> y;
+  task.MakeTestSet(100, setup, &x, &y);
+  const std::vector<float> params = global.GetParameters();
+  const auto bytes_equal = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+
+  const Rng client_root = Rng(42).ForkKeyed(Rng::StreamKey(3, 7));
+  Rng slow_rng = client_root;
+  Mlp slow(dims, slow_rng);
+  slow.SetParameters(params);
+  Rng fast_rng = client_root;
+  Mlp fast(dims, params, fast_rng);
+
+  EXPECT_TRUE(bytes_equal(slow.GetParameters(), fast.GetParameters()));
+  EXPECT_EQ(slow_rng.SaveRaw(), fast_rng.SaveRaw());
+  Rng skipped = client_root;
+  skipped.Discard(17024);  // one draw per weight: 64x128 + 128x64 + 64x10
+  EXPECT_EQ(fast_rng.SaveRaw(), skipped.SaveRaw());
+
+  SgdConfig config;
+  config.epochs = 2;
+  const TrainResult slow_result = TrainSgd(slow, x, y, config, slow_rng);
+  const TrainResult fast_result = TrainSgd(fast, x, y, config, fast_rng);
+  EXPECT_TRUE(bytes_equal(slow.GetParameters(), fast.GetParameters()));
+  EXPECT_EQ(std::memcmp(&slow_result.final_loss, &fast_result.final_loss, sizeof(double)), 0);
+  EXPECT_EQ(slow_result.batches, fast_result.batches);
+  EXPECT_EQ(slow_rng.SaveRaw(), fast_rng.SaveRaw());
+  // Training moved the weights, so the comparison above compared something.
+  EXPECT_FALSE(bytes_equal(fast.GetParameters(), params));
 }
 
 TEST(MlpTest, AggregateIsWeightedAverage) {
