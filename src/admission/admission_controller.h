@@ -1,12 +1,12 @@
 // Deterministic server-ingestion gate (DESIGN.md §15).
 //
-// Every engine funnels its delivered uploads — plus whatever duplicates,
-// replays and stampede bursts the overload injector adds — through one
-// Admit() call per ingestion burst. The gate applies, per arrival and in
-// arrival order: (1) idempotent deduplication keyed (client, round,
-// attempt), (2) replay-age rejection, (3) per-client token-bucket rate
-// limiting, (4) the bounded ingress queue with the configured shedding
-// policy. Everything is plain sequential bookkeeping over deterministic
+// The ingress stage (ingress.h) funnels every engine's delivered uploads —
+// plus whatever duplicates, replays and stampede bursts the overload
+// injector adds — through one Admit() call per ingestion burst. The gate
+// applies, per arrival and in arrival order: (1) idempotent deduplication
+// keyed (client, round, attempt), (2) replay-age rejection, (3) per-client
+// token-bucket rate limiting, (4) the bounded ingress queue with the
+// configured shedding policy. Everything is plain sequential bookkeeping over deterministic
 // inputs — no RNG draws — so admission is trivially thread-count invariant;
 // the dedup window and token buckets serialize for bit-exact resume.
 #ifndef SRC_ADMISSION_ADMISSION_CONTROLLER_H_

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/failure/checkpoint_io.h"
+#include "src/opt/technique.h"
 
 namespace floatfl {
 
@@ -71,12 +72,16 @@ class UpdateLog {
       w.F64(e.weight);
     }
   }
+  // Refuses (fails the reader) a payload saved for another population or
+  // naming a technique that does not exist; the log keeps one entry per
+  // client either way.
   void LoadState(CheckpointReader& r) {
-    const size_t n = r.Size();
-    entries_.clear();
-    for (size_t i = 0; i < n && r.ok(); ++i) {
-      entries_.emplace_back();
-      LoggedUpload& e = entries_.back();
+    if (r.Size() != entries_.size()) {
+      r.Fail();
+      return;
+    }
+    for (LoggedUpload& e : entries_) {
+      e = LoggedUpload();
       e.valid = r.Bool();
       if (!e.valid) {
         continue;
@@ -87,6 +92,9 @@ class UpdateLog {
       e.upload_comm_s = r.F64();
       e.upload_mb = r.F64();
       e.technique = r.U32();
+      if (e.technique >= kNumTechniques) {
+        r.Fail();
+      }
       e.params = r.F32Vec();
       e.weight = r.F64();
     }

@@ -147,8 +147,12 @@ class CheckpointReader {
     return s;
   }
 
-  // True while every read so far stayed in bounds.
+  // True while every read so far stayed in bounds and no loader refused a
+  // value.
   bool ok() const { return ok_; }
+  // Marks the payload refused: a loader that reads a value it cannot accept
+  // (a count or an enum out of range) fails the whole restore.
+  void Fail() { ok_ = false; }
   // True when the payload was consumed exactly (call after the last field).
   bool AtEnd() const { return ok_ && pos_ == buf_.size(); }
 

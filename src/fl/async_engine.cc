@@ -34,9 +34,7 @@ AsyncEngine::AsyncEngine(const ExperimentConfig& config, TuningPolicy* policy)
   injector_ = FaultInjector(config_.faults, config_.seed, config_.num_clients);
   transport_ = Transport(config_.faults, config_.seed);
   guard_ = TrainingGuard(config_.guard);
-  overload_ = OverloadInjector(config_.faults, config_.seed);
-  admission_ = AdmissionController(config_.admission);
-  update_log_ = UpdateLog(config_.num_clients);
+  ingress_ = ServerIngress(config_.faults, config_.admission, config_.seed, config_.num_clients);
   const size_t threads = ResolveThreadCount(config.num_threads);
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads - 1);
@@ -368,6 +366,11 @@ void AsyncEngine::StepOnce() {
 
   Client& client = clients_[flight.client_id];
   const double staleness = static_cast<double>(version_ - flight.start_version);
+  // The launch count keys the upload (like the fault and transport streams):
+  // a client can legitimately upload twice against the same model version,
+  // so only true re-deliveries may share a dedup key.
+  const uint64_t attempt =
+      client.times_selected > 0 ? static_cast<uint64_t>(client.times_selected) - 1 : 0;
   bool accepted = false;
   DropoutReason drop_reason = DropoutReason::kNone;
   if (!flight.outcome.completed) {
@@ -396,86 +399,30 @@ void AsyncEngine::StepOnce() {
     }
     contribution.staleness = staleness;
     bool admit_ok = true;
-    if (!overload_.enabled() && !admission_.enabled()) {
+    if (!ingress_.active()) {
       buffer_.push_back(contribution);
     } else {
       // Server ingestion (DESIGN.md §15): one retirement is one ingestion
       // burst — the delivered upload plus whatever at-least-once duplicates
       // of it and replays of the client's last accepted upload the overload
-      // injector adds, keyed by the aggregation version. The admission gate
-      // rules on the burst in arrival order; a redundant delivery that
-      // passes (or meets an unguarded server) is re-processed in full —
-      // waste plus an extra stale copy in the aggregation buffer.
-      struct IngressDelivery {
-        AdmissionController::Arrival arrival;
-        bool redundant = false;
-        TechniqueKind technique = TechniqueKind::kNone;
-        double quality = 0.0;
-        double upload_comm_s = 0.0;
-        double upload_mb = 0.0;
-      };
-      // The launch count keys the upload (like the fault and transport
-      // streams): a client can legitimately upload twice against the same
-      // model version, so only true re-deliveries may share a dedup key.
-      const uint64_t attempt =
-          client.times_selected > 0 ? static_cast<uint64_t>(client.times_selected) - 1 : 0;
-      std::vector<IngressDelivery> deliveries;
-      IngressDelivery original;
-      original.arrival.client_id = flight.client_id;
-      original.arrival.round = flight.start_version;
-      original.arrival.attempt = attempt;
-      original.arrival.staleness = staleness;
-      original.arrival.utility = contribution.quality;
-      original.technique = flight.technique;
-      original.quality = contribution.quality;
-      original.upload_comm_s = 0.5 * flight.outcome.costs.comm_time_s;  // upload leg
-      original.upload_mb = 0.5 * flight.outcome.costs.traffic_mb;
-      deliveries.push_back(original);
-      if (overload_.enabled()) {
-        const size_t copies = overload_.DuplicateCopies(version_, flight.client_id);
-        for (size_t c = 0; c < copies; ++c) {
-          IngressDelivery d = original;
-          d.redundant = true;
-          deliveries.push_back(d);
-        }
-        const LoggedUpload* logged = update_log_.Get(flight.client_id);
-        if (logged != nullptr && logged->round < version_) {
-          const size_t slots = overload_.ReplaySlots(version_, flight.client_id);
-          for (size_t s = 0; s < slots; ++s) {
-            IngressDelivery d;
-            d.arrival.client_id = flight.client_id;
-            d.arrival.round = logged->round;
-            d.arrival.attempt = logged->attempt;
-            d.arrival.staleness = static_cast<double>(version_ - logged->round);
-            // A stale upload ranks below fresh ones under utility-priority
-            // shedding, more so the older it is.
-            d.arrival.utility = logged->quality / (1.0 + d.arrival.staleness);
-            d.redundant = true;
-            d.technique = static_cast<TechniqueKind>(logged->technique);
-            d.quality = logged->quality;
-            d.upload_comm_s = logged->upload_comm_s;
-            d.upload_mb = logged->upload_mb;
-            deliveries.push_back(d);
-          }
-        }
-      }
-      std::vector<AdmissionController::Verdict> verdicts;
-      if (admission_.enabled()) {
-        std::vector<AdmissionController::Arrival> arrivals;
-        arrivals.reserve(deliveries.size());
-        for (const IngressDelivery& d : deliveries) {
-          arrivals.push_back(d.arrival);
-        }
-        verdicts = admission_.Admit(version_, arrivals, &admission_tracker_);
-      } else {
-        AdmissionController::Verdict pass;
-        pass.admitted = true;
-        verdicts.assign(deliveries.size(), pass);
-      }
-      for (size_t i = 0; i < deliveries.size(); ++i) {
-        const IngressDelivery& d = deliveries[i];
-        const AdmissionController::Verdict& v = verdicts[i];
-        if (!d.redundant) {
+      // injector adds, keyed by the aggregation version. A redundant
+      // delivery that passes the gate (or meets an unguarded server) is
+      // re-processed in full — waste plus an extra stale copy in the
+      // aggregation buffer.
+      IngressDelivery upload;
+      upload.arrival.client_id = flight.client_id;
+      upload.arrival.round = flight.start_version;
+      upload.arrival.attempt = attempt;
+      upload.arrival.staleness = staleness;
+      upload.arrival.utility = contribution.quality;
+      upload.technique = flight.technique;
+      upload.quality = contribution.quality;
+      upload.upload_comm_s = 0.5 * flight.outcome.costs.comm_time_s;  // upload leg
+      upload.upload_mb = 0.5 * flight.outcome.costs.traffic_mb;
+      for (const IngressDelivery& d :
+           ingress_.Ingest(version_, {upload}, {&flight.client_id, 1}, &LoggedUpload::quality)) {
+        const AdmissionController::Verdict& v = d.verdict;
+        if (!d.redundant()) {
           if (v.admitted) {
             ClientContribution weighted = contribution;
             weighted.quality *= v.weight;
@@ -484,9 +431,7 @@ void AsyncEngine::StepOnce() {
             admit_ok = false;
             drop_reason = v.reason;
           }
-          continue;
-        }
-        if (v.admitted) {
+        } else if (v.admitted) {
           accountant_.Record(0.0, d.upload_comm_s, 0.0, false);
           redundant_mb_ += d.upload_mb;
           ClientContribution extra;
@@ -513,20 +458,6 @@ void AsyncEngine::StepOnce() {
       }
       accepted = true;
       ++client.times_completed;
-      if (overload_.enabled()) {
-        // Remember the accepted upload (at its original keys): the replay
-        // fault re-delivers exactly this entry at a later version.
-        LoggedUpload entry;
-        entry.round = flight.start_version;
-        entry.attempt = client.times_selected > 0
-                            ? static_cast<uint64_t>(client.times_selected) - 1
-                            : 0;
-        entry.quality = contribution.quality;
-        entry.upload_comm_s = 0.5 * flight.outcome.costs.comm_time_s;
-        entry.upload_mb = 0.5 * flight.outcome.costs.traffic_mb;
-        entry.technique = static_cast<uint32_t>(flight.technique);
-        update_log_.Record(flight.client_id, entry);
-      }
     }
   }
   // Partial-work salvage (DESIGN.md §16): an interrupted flight's completed
@@ -546,26 +477,15 @@ void AsyncEngine::StepOnce() {
       if (o.salvage_fraction < config_.salvage.min_progress) {
         salvage_tracker_.RecordPartialBelowMin();
       } else {
-        bool admit_partial = true;
-        if (admission_.enabled()) {
-          AdmissionController::Arrival a;
-          a.client_id = flight.client_id;
-          a.round = flight.start_version;
-          // The partial namespace offset keeps the key distinct from the
-          // launch-count key of the client's own full uploads.
-          a.attempt = kPartialUpdateAttempt +
-                      (client.times_selected > 0
-                           ? static_cast<uint64_t>(client.times_selected) - 1
-                           : 0);
-          a.staleness = staleness;
-          a.utility =
-              (1.0 - EffectOf(flight.technique).accuracy_impact) * o.salvage_fraction;
-          std::vector<AdmissionController::Arrival> arrivals;
-          arrivals.push_back(a);
-          const std::vector<AdmissionController::Verdict> verdicts =
-              admission_.Admit(version_, arrivals, &admission_tracker_);
-          admit_partial = verdicts[0].admitted;
-        }
+        // The partial namespace offset keeps the key distinct from the
+        // launch-count key of the client's own full uploads.
+        AdmissionController::Arrival a;
+        a.client_id = flight.client_id;
+        a.round = flight.start_version;
+        a.attempt = kPartialUpdateAttempt + attempt;
+        a.staleness = staleness;
+        a.utility = (1.0 - EffectOf(flight.technique).accuracy_impact) * o.salvage_fraction;
+        const bool admit_partial = ingress_.AdmitPartials(version_, {a})[0].admitted;
         if (!admit_partial) {
           salvage_tracker_.RecordPartialRejected();
         } else {
@@ -711,12 +631,12 @@ ExperimentResult AsyncEngine::Snapshot() const {
   result.recovery_rounds_replayed = recovery_tracker_.RoundsReplayed();
   result.recovery_checkpoints_written = recovery_tracker_.CheckpointsWritten();
   result.recovery_checkpoints_failed = recovery_tracker_.CheckpointsFailed();
-  result.admission_admitted = admission_tracker_.Admitted();
-  result.admission_deduplicated = admission_tracker_.Deduplicated();
-  result.admission_shed = admission_tracker_.Shed();
-  result.admission_rate_limited = admission_tracker_.RateLimited();
-  result.admission_replay_rejected = admission_tracker_.ReplayRejected();
-  result.admission_peak_queue_depth = admission_tracker_.PeakQueueDepth();
+  result.admission_admitted = ingress_.tracker().Admitted();
+  result.admission_deduplicated = ingress_.tracker().Deduplicated();
+  result.admission_shed = ingress_.tracker().Shed();
+  result.admission_rate_limited = ingress_.tracker().RateLimited();
+  result.admission_replay_rejected = ingress_.tracker().ReplayRejected();
+  result.admission_peak_queue_depth = ingress_.tracker().PeakQueueDepth();
   result.redundant_mb = redundant_mb_;
   result.partials_salvaged = salvage_tracker_.PartialsSalvaged();
   result.partials_below_min = salvage_tracker_.PartialsBelowMin();
@@ -834,9 +754,7 @@ void AsyncEngine::SaveState(CheckpointWriter& w) const {
   agg_tracker_.SaveState(w);
   transport_tracker_.SaveState(w);
   guard_.SaveState(w);
-  admission_.SaveState(w);
-  update_log_.SaveState(w);
-  admission_tracker_.SaveState(w);
+  ingress_.SaveState(w);
   w.F64(redundant_mb_);
   salvage_tracker_.SaveState(w);
   // The RecoveryTracker stays the final section of every engine payload:
@@ -905,9 +823,7 @@ void AsyncEngine::LoadState(CheckpointReader& r) {
   agg_tracker_.LoadState(r);
   transport_tracker_.LoadState(r);
   guard_.LoadState(r);
-  admission_.LoadState(r);
-  update_log_.LoadState(r);
-  admission_tracker_.LoadState(r);
+  ingress_.LoadState(r);
   redundant_mb_ = r.F64();
   salvage_tracker_.LoadState(r);
   recovery_tracker_.LoadState(r);

@@ -13,19 +13,16 @@
 #include <memory>
 #include <vector>
 
-#include "src/admission/admission_controller.h"
-#include "src/admission/update_log.h"
+#include "src/admission/ingress.h"
 #include "src/common/rng.h"
 #include "src/failure/checkpoint_io.h"
 #include "src/failure/fault_injector.h"
-#include "src/failure/overload_injector.h"
 #include "src/fl/client.h"
 #include "src/fl/experiment.h"
 #include "src/fl/observation.h"
 #include "src/fl/sync_engine.h"
 #include "src/fl/tuning_policy.h"
 #include "src/guard/training_guard.h"
-#include "src/metrics/admission_tracker.h"
 #include "src/metrics/aggregation_tracker.h"
 #include "src/metrics/participation_tracker.h"
 #include "src/metrics/recovery_tracker.h"
@@ -65,7 +62,7 @@ class AsyncEngine {
   const TransportTracker& transport_tracker() const { return transport_tracker_; }
   const TrainingGuard& guard() const { return guard_; }
   // Cumulative server-ingestion accounting (DESIGN.md §15).
-  const AdmissionTracker& admission_tracker() const { return admission_tracker_; }
+  const AdmissionTracker& admission_tracker() const { return ingress_.tracker(); }
   // Crash-recovery accounting (DESIGN.md §14); recorded by the RunSupervisor
   // and serialized with the engine so totals survive process kills.
   RecoveryTracker& recovery_tracker() { return recovery_tracker_; }
@@ -115,13 +112,10 @@ class AsyncEngine {
   // Self-healing guard (DESIGN.md §11); rounds are keyed by the aggregation
   // version (async FL's round analogue). A disabled guard is a strict no-op.
   TrainingGuard guard_;
-  // Server-ingestion admission layer and its fault side (DESIGN.md §15);
+  // Server ingress: overload faults and the admission gate (DESIGN.md §15);
   // both disabled (and the engine byte-identical) by default. Bursts are
   // keyed by the aggregation version.
-  OverloadInjector overload_;
-  AdmissionController admission_;
-  AdmissionTracker admission_tracker_;
-  UpdateLog update_log_;
+  ServerIngress ingress_;
   // Wire volume of duplicate/replay deliveries the server fully
   // re-processed (zero when the admission gate rejected them at ingress).
   double redundant_mb_ = 0.0;

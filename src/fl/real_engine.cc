@@ -99,14 +99,12 @@ RealFlEngine::RealFlEngine(const RealFlConfig& config)
                               config_.seed ^ TopologyConfig::kEdgeLinkSeedSalt);
   edge_aggregator_ = MakeAggregator(config_.topology.edge_aggregator);
   ValidateAdmissionConfig(config_.admission);
-  overload_ = OverloadInjector(config_.faults, config_.seed);
-  admission_ = AdmissionController(config_.admission);
+  ingress_ = ServerIngress(config_.faults, config_.admission, config_.seed, config_.num_clients);
   ValidateSalvageConfig(config_.salvage);
   // No wall clock means no deadline race a backup could win; refuse rather
   // than silently ignore, like the async engine.
   FLOATFL_CHECK_MSG(!config_.salvage.speculation,
                     "real engine does not support speculative re-execution");
-  update_log_ = UpdateLog(config_.num_clients);
   const size_t threads = ResolveThreadCount(config.num_threads);
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads - 1);
@@ -370,8 +368,21 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   participated.assign(k, 0);
   reasons.assign(k, DropoutReason::kNone);
   std::vector<size_t> update_edges;  // effective edge per accepted update
-  const bool ingest_on = overload_.enabled() || admission_.enabled();
-  std::vector<size_t> passing;  // selection indices that reached the server door
+  auto add_update = [&](size_t i, std::vector<float> params, double weight) {
+    updates.push_back(std::move(params));
+    weights.push_back(weight);
+    if (tree_on) {
+      update_edges.push_back(tree_.EffectiveEdge(order[i]));
+    }
+  };
+  // An accepted upload of the client in slot i (not a redundant re-count).
+  auto accept = [&](size_t i) {
+    participated[i] = 1;
+    total_bytes += static_cast<double>(processed[i].upload_bytes);
+    total_error += processed[i].max_error;
+  };
+  const bool ingest_on = ingress_.active();
+  std::vector<IngressDelivery> fresh;  // validated uploads at the server door
   // Validated partial updates from interrupted clients (DESIGN.md §16),
   // collected in selection order and appended to the aggregate — behind the
   // admission gate, under the partial dedup namespace — after the fresh
@@ -495,115 +506,37 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     }
     if (ingest_on) {
       // Admission decides this upload's fate below; defer the acceptance.
-      passing.push_back(i);
+      IngressDelivery d;
+      d.slot = i;
+      d.arrival.client_id = order[i];
+      d.arrival.round = round;
+      // Utility-priority shedding keeps the data-rich uploads.
+      d.arrival.utility = static_cast<double>(shards_[order[i]].total);
+      d.technique = techniques[i];
+      d.upload_mb = static_cast<double>(processed[i].upload_bytes) / (1024.0 * 1024.0);
+      d.params = &processed[i].params;
+      d.weight = static_cast<double>(shards_[order[i]].total);
+      fresh.push_back(d);
       continue;
     }
-    participated[i] = 1;
-    total_bytes += static_cast<double>(processed[i].upload_bytes);
-    total_error += processed[i].max_error;
-    updates.push_back(std::move(processed[i].params));
-    weights.push_back(static_cast<double>(shards_[order[i]].total));
-    if (tree_on) {
-      update_edges.push_back(tree_.EffectiveEdge(order[i]));
-    }
+    accept(i);
+    add_update(i, std::move(processed[i].params), static_cast<double>(shards_[order[i]].total));
   }
   if (ingest_on) {
     // Server ingestion (DESIGN.md §15): the round's validated uploads form
-    // one ingestion burst — possibly reordered, duplicated, and joined by
-    // replays of earlier accepted uploads — and the admission gate rules on
-    // it in arrival order. An admitted redundant delivery is re-processed in
-    // full: its parameter vector re-enters the FedAvg reduction and its wire
-    // volume is booked as redundant; a doorstep rejection costs nothing.
-    struct IngressDelivery {
-      AdmissionController::Arrival arrival;
-      size_t idx = 0;  // selection index
-      bool redundant = false;
-      bool replay = false;
-      double upload_mb = 0.0;
-    };
-    std::vector<size_t> arrival_order = passing;
-    overload_.MaybeReorder(round, arrival_order);
-    auto fresh_delivery = [&](size_t i) {
-      IngressDelivery d;
-      d.arrival.client_id = order[i];
-      d.arrival.round = round;
-      d.arrival.attempt = 0;
-      d.arrival.staleness = 0.0;
-      // Utility-priority shedding keeps the data-rich uploads.
-      d.arrival.utility = static_cast<double>(shards_[order[i]].total);
-      d.idx = i;
-      d.upload_mb = static_cast<double>(processed[i].upload_bytes) / (1024.0 * 1024.0);
-      return d;
-    };
-    std::vector<IngressDelivery> deliveries;
-    for (size_t i : arrival_order) {
-      deliveries.push_back(fresh_delivery(i));
-    }
-    if (overload_.enabled()) {
-      for (size_t i : arrival_order) {
-        const size_t copies = overload_.DuplicateCopies(round, order[i]);
-        for (size_t c = 0; c < copies; ++c) {
-          IngressDelivery d = fresh_delivery(i);
-          d.redundant = true;
-          deliveries.push_back(d);
-        }
-      }
-      for (size_t i = 0; i < k; ++i) {
-        const LoggedUpload* logged = update_log_.Get(order[i]);
-        if (logged == nullptr || logged->round >= round) {
-          continue;
-        }
-        const size_t slots = overload_.ReplaySlots(round, order[i]);
-        for (size_t s = 0; s < slots; ++s) {
-          IngressDelivery d;
-          d.arrival.client_id = order[i];
-          d.arrival.round = logged->round;
-          d.arrival.attempt = logged->attempt;
-          d.arrival.staleness = static_cast<double>(round - logged->round);
-          d.arrival.utility = logged->weight / (1.0 + d.arrival.staleness);
-          d.idx = i;
-          d.redundant = true;
-          d.replay = true;
-          d.upload_mb = logged->upload_mb;
-          deliveries.push_back(d);
-        }
-      }
-    }
-    std::vector<AdmissionController::Verdict> verdicts;
-    if (admission_.enabled()) {
-      std::vector<AdmissionController::Arrival> arrivals;
-      arrivals.reserve(deliveries.size());
-      for (const IngressDelivery& d : deliveries) {
-        arrivals.push_back(d.arrival);
-      }
-      verdicts = admission_.Admit(round, arrivals, &admission_tracker_);
-    } else {
-      AdmissionController::Verdict pass;
-      pass.admitted = true;
-      verdicts.assign(deliveries.size(), pass);
-    }
-    for (size_t n = 0; n < deliveries.size(); ++n) {
-      const IngressDelivery& d = deliveries[n];
-      const AdmissionController::Verdict& v = verdicts[n];
-      const size_t i = d.idx;
+    // one ingestion burst at the ingress stage, which adds duplicates and
+    // replays of earlier accepted uploads and rules on it. An admitted
+    // redundant delivery is re-processed in full: its parameter vector
+    // re-enters the FedAvg reduction and its wire volume is booked as
+    // redundant; a doorstep rejection costs nothing.
+    DropoutBreakdown refused;
+    for (const IngressDelivery& d : ingress_.Ingest(round, std::move(fresh), {order.data(), k},
+                                                    &LoggedUpload::weight)) {
+      const AdmissionController::Verdict& v = d.verdict;
+      const size_t i = d.slot;
       if (!v.admitted) {
-        switch (v.reason) {
-          case DropoutReason::kDuplicate:
-            ++stats.deduplicated;
-            break;
-          case DropoutReason::kShed:
-            ++stats.shed;
-            break;
-          case DropoutReason::kRateLimited:
-            ++stats.rate_limited;
-            break;
-          case DropoutReason::kReplayed:
-            ++stats.replay_rejected;
-            break;
-          default:
-            break;
-        }
-        if (!d.redundant) {
+        refused.Count(v.reason);
+        if (!d.redundant()) {
           reasons[i] = v.reason;
         } else if (report) {
           // A doorstep-rejected redundant still costs the policy one
@@ -614,46 +547,19 @@ RealRoundStats RealFlEngine::RunRoundImpl(
         continue;
       }
       ++stats.admitted;
-      if (!d.redundant) {
-        participated[i] = 1;
-        total_bytes += static_cast<double>(processed[i].upload_bytes);
-        total_error += processed[i].max_error;
-        // Copies, not moves: duplicates of this upload may still arrive.
-        updates.push_back(processed[i].params);
-        weights.push_back(static_cast<double>(shards_[order[i]].total) * v.weight);
-        if (tree_on) {
-          update_edges.push_back(tree_.EffectiveEdge(order[i]));
-        }
-        if (overload_.enabled()) {
-          // Remember the accepted upload: the replay fault re-delivers
-          // exactly this entry (same dedup key) in a later round.
-          LoggedUpload entry;
-          entry.round = round;
-          entry.attempt = 0;
-          entry.upload_mb = d.upload_mb;
-          entry.technique = static_cast<uint32_t>(techniques[i]);
-          entry.params = processed[i].params;
-          entry.weight = static_cast<double>(shards_[order[i]].total);
-          update_log_.Record(order[i], entry);
-        }
-      } else if (!d.replay) {
+      if (d.redundant()) {
         stats.redundant_upload_mb += d.upload_mb;
-        updates.push_back(processed[i].params);
-        weights.push_back(static_cast<double>(shards_[order[i]].total) * v.weight);
-        if (tree_on) {
-          update_edges.push_back(tree_.EffectiveEdge(order[i]));
-        }
       } else {
-        const LoggedUpload* logged = update_log_.Get(order[i]);
-        stats.redundant_upload_mb += d.upload_mb;
-        updates.push_back(logged->params);
-        weights.push_back(logged->weight * v.weight);
-        if (tree_on) {
-          update_edges.push_back(tree_.EffectiveEdge(order[i]));
-        }
+        accept(i);
       }
+      // A copy, not a move: duplicates of this upload may still arrive.
+      add_update(i, *d.params, d.weight * v.weight);
     }
-    stats.peak_queue_depth = admission_tracker_.PeakQueueDepth();
+    stats.deduplicated = refused[DropoutReason::kDuplicate];
+    stats.shed = refused[DropoutReason::kShed];
+    stats.rate_limited = refused[DropoutReason::kRateLimited];
+    stats.replay_rejected = refused[DropoutReason::kReplayed];
+    stats.peak_queue_depth = ingress_.tracker().PeakQueueDepth();
   }
   if (!partial_candidates.empty()) {
     // Partial updates enter through the same admission gate as fresh uploads
@@ -661,25 +567,18 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     // utility discounted by the completed-work fraction so shedding drops
     // the thinnest partials first. An admitted partial re-enters FedAvg at
     // step-fraction weight; the client itself stays a dropout.
-    std::vector<AdmissionController::Verdict> verdicts;
-    if (admission_.enabled()) {
-      std::vector<AdmissionController::Arrival> arrivals;
-      arrivals.reserve(partial_candidates.size());
-      for (const PartialCandidate& p : partial_candidates) {
-        AdmissionController::Arrival a;
-        a.client_id = order[p.idx];
-        a.round = round;
-        a.attempt = kPartialUpdateAttempt;
-        a.staleness = 0.0;
-        a.utility = static_cast<double>(shards_[order[p.idx]].total) * p.fraction;
-        arrivals.push_back(a);
-      }
-      verdicts = admission_.Admit(round, arrivals, &admission_tracker_);
-      stats.peak_queue_depth = admission_tracker_.PeakQueueDepth();
-    } else {
-      AdmissionController::Verdict pass;
-      pass.admitted = true;
-      verdicts.assign(partial_candidates.size(), pass);
+    std::vector<AdmissionController::Arrival> arrivals(partial_candidates.size());
+    for (size_t n = 0; n < partial_candidates.size(); ++n) {
+      const PartialCandidate& p = partial_candidates[n];
+      arrivals[n].client_id = order[p.idx];
+      arrivals[n].round = round;
+      arrivals[n].attempt = kPartialUpdateAttempt;
+      arrivals[n].utility = static_cast<double>(shards_[order[p.idx]].total) * p.fraction;
+    }
+    const std::vector<AdmissionController::Verdict> verdicts =
+        ingress_.AdmitPartials(round, arrivals);
+    if (ingest_on) {
+      stats.peak_queue_depth = ingress_.tracker().PeakQueueDepth();
     }
     for (size_t n = 0; n < partial_candidates.size(); ++n) {
       PartialCandidate& p = partial_candidates[n];
@@ -691,12 +590,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       ++stats.partials_salvaged;
       stats.salvaged_steps += p.steps;
       salvage_tracker_.RecordPartialSalvaged(p.steps, p.fraction, p.acked_mb);
-      updates.push_back(std::move(p.params));
-      weights.push_back(static_cast<double>(shards_[order[p.idx]].total) * p.fraction *
-                        verdicts[n].weight);
-      if (tree_on) {
-        update_edges.push_back(tree_.EffectiveEdge(order[p.idx]));
-      }
+      add_update(p.idx, std::move(p.params),
+                 static_cast<double>(shards_[order[p.idx]].total) * p.fraction *
+                     verdicts[n].weight);
     }
   }
   // Failure attribution for the guard's quarantine (selection order).
@@ -892,9 +788,7 @@ void RealFlEngine::SaveState(CheckpointWriter& w) const {
   tree_.SaveState(w);
   topo_tracker_.SaveState(w);
   edge_aggregator_->SaveState(w);
-  admission_.SaveState(w);
-  update_log_.SaveState(w);
-  admission_tracker_.SaveState(w);
+  ingress_.SaveState(w);
   salvage_tracker_.SaveState(w);
   // The RecoveryTracker stays the final section of every engine payload:
   // the recovery tests strip it off the tail to compare training state.
@@ -929,9 +823,7 @@ void RealFlEngine::LoadState(CheckpointReader& r) {
   tree_.LoadState(r);
   topo_tracker_.LoadState(r);
   edge_aggregator_->LoadState(r);
-  admission_.LoadState(r);
-  update_log_.LoadState(r);
-  admission_tracker_.LoadState(r);
+  ingress_.LoadState(r);
   salvage_tracker_.LoadState(r);
   recovery_tracker_.LoadState(r);
 }

@@ -18,8 +18,7 @@
 #include <vector>
 
 #include "src/admission/admission_config.h"
-#include "src/admission/admission_controller.h"
-#include "src/admission/update_log.h"
+#include "src/admission/ingress.h"
 #include "src/agg/aggregator.h"
 #include "src/agg/aggregator_config.h"
 #include "src/common/rng.h"
@@ -28,11 +27,9 @@
 #include "src/failure/checkpoint_io.h"
 #include "src/failure/edge_fault_injector.h"
 #include "src/failure/fault_injector.h"
-#include "src/failure/overload_injector.h"
 #include "src/fl/tuning_policy.h"
 #include "src/guard/guard_config.h"
 #include "src/guard/training_guard.h"
-#include "src/metrics/admission_tracker.h"
 #include "src/metrics/aggregation_tracker.h"
 #include "src/metrics/recovery_tracker.h"
 #include "src/metrics/salvage_tracker.h"
@@ -192,7 +189,7 @@ class RealFlEngine {
   const AggregationTree& tree() const { return tree_; }
   const TopologyTracker& topology_tracker() const { return topo_tracker_; }
   // Cumulative server-ingestion accounting (DESIGN.md §15).
-  const AdmissionTracker& admission_tracker() const { return admission_tracker_; }
+  const AdmissionTracker& admission_tracker() const { return ingress_.tracker(); }
   // Crash-recovery accounting (DESIGN.md §14); recorded by the RunSupervisor
   // and serialized with the engine so totals survive process kills.
   RecoveryTracker& recovery_tracker() { return recovery_tracker_; }
@@ -266,11 +263,9 @@ class RealFlEngine {
   TopologyTracker topo_tracker_;
   Transport edge_transport_;
   std::unique_ptr<Aggregator> edge_aggregator_;
-  // Server-ingestion admission layer (DESIGN.md §15); disabled by default.
-  OverloadInjector overload_;
-  AdmissionController admission_;
-  AdmissionTracker admission_tracker_;
-  UpdateLog update_log_;
+  // Server ingress: overload faults and the admission gate (DESIGN.md §15);
+  // disabled by default.
+  ServerIngress ingress_;
   RecoveryTracker recovery_tracker_;
   // Partial-work salvage accounting (DESIGN.md §16); no-op by default.
   SalvageTracker salvage_tracker_;

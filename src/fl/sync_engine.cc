@@ -48,10 +48,8 @@ SyncEngine::SyncEngine(const ExperimentConfig& config, Selector* selector, Tunin
                               config_.seed ^ TopologyConfig::kEdgeLinkSeedSalt);
   edge_deadline_ctrl_ = AdaptiveDeadlineController(config_.topology.edge_adaptive_deadline,
                                                    config_.topology.num_edges, config_.deadline_s);
-  overload_ = OverloadInjector(config_.faults, config_.seed);
-  admission_ = AdmissionController(config_.admission);
+  ingress_ = ServerIngress(config_.faults, config_.admission, config_.seed, config_.num_clients);
   scheduler_ = SpeculativeScheduler(config_.salvage);
-  update_log_ = UpdateLog(config_.num_clients);
   round_deadline_s_ = config_.deadline_s;
   reference_ = ComputePopulationReference(clients_);
   std::vector<ClientShard> shards;
@@ -532,139 +530,57 @@ void SyncEngine::RunRound(size_t round) {
     }
   }
 
-  // Server ingestion (DESIGN.md §15): every surviving upload is one arrival
-  // at the server's ingress; the overload injector may permute the arrival
-  // order, re-deliver uploads at-least-once, and replay stale past uploads —
-  // with stampede episodes multiplying the redundant slots. The admission
-  // gate (when enabled) rules on the whole burst in arrival order. A
-  // redundant delivery that passes the gate — or meets an unguarded server —
-  // is re-processed in full: its upload wire cost is charged as waste and
-  // its (possibly stale) content re-enters aggregation below.
-  struct RedundantDelivery {
-    size_t client_id = 0;
-    double quality = 0.0;
-    double staleness = 0.0;
-    double weight = 1.0;
+  // The quality the server aggregates for an upload; recomputable anywhere
+  // because the Byzantine draw is (round, client)-keyed and const.
+  auto quality_of = [&](const ClientRoundOutcome& o) {
+    const double q = 1.0 - EffectOf(o.technique).accuracy_impact;
+    return o.byzantine ? injector_.AttackedQuality(q, round, o.client_id) : q;
   };
-  std::vector<RedundantDelivery> redundant_admitted;
-  if (overload_.enabled() || admission_.enabled()) {
-    struct IngressDelivery {
-      AdmissionController::Arrival arrival;
-      size_t idx = 0;          // index into outcomes/observations
-      bool redundant = false;  // a duplicate or replay, not the upload itself
-      TechniqueKind technique = TechniqueKind::kNone;
-      double quality = 0.0;
-      double upload_comm_s = 0.0;
-      double upload_mb = 0.0;
-    };
-    // The quality the server would aggregate for this upload; recomputable
-    // because the Byzantine draw is (round, client)-keyed and const.
-    auto quality_of = [&](const ClientRoundOutcome& o) {
-      double q = 1.0 - EffectOf(o.technique).accuracy_impact;
-      if (o.byzantine) {
-        q = injector_.AttackedQuality(q, round, o.client_id);
-      }
-      return q;
-    };
-    std::vector<size_t> arrival_order;
+
+  // Server ingestion (DESIGN.md §15): every surviving upload is one fresh
+  // arrival at the ingress stage, which adds the overload injector's
+  // duplicates and replays and rules on the burst. A fresh upload turned
+  // away (shed / rate-limited) closes the round without it; phase 3 below
+  // books it like any other dropout. A redundant delivery that passes the
+  // gate — or meets an unguarded server — is re-processed in full: its
+  // upload wire cost is charged as waste and its (possibly stale) content
+  // re-enters aggregation below.
+  std::vector<ClientContribution> redundant_admitted;
+  if (ingress_.active()) {
+    std::vector<IngressDelivery> fresh;
     for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].completed) {
-        arrival_order.push_back(i);
-      }
-    }
-    overload_.MaybeReorder(round, arrival_order);
-    std::vector<IngressDelivery> deliveries;
-    auto fresh_delivery = [&](size_t i) {
-      IngressDelivery d;
-      d.arrival.client_id = outcomes[i].client_id;
-      d.arrival.round = round;
-      d.arrival.attempt = 0;
-      d.arrival.staleness = 0.0;
-      d.idx = i;
-      d.technique = outcomes[i].technique;
-      d.quality = quality_of(outcomes[i]);
-      d.upload_comm_s = 0.5 * outcomes[i].costs.comm_time_s;  // upload leg
-      d.upload_mb = 0.5 * outcomes[i].costs.traffic_mb;
-      const double u = selector_->IngestUtility(d.arrival.client_id);
-      d.arrival.utility = u > 0.0 ? u : d.quality;
-      return d;
-    };
-    for (size_t i : arrival_order) {
-      deliveries.push_back(fresh_delivery(i));
-    }
-    if (overload_.enabled()) {
-      // At-least-once duplicates carry the exact key of the upload they
-      // copy, which is what lets idempotent admission fold them.
-      for (size_t i : arrival_order) {
-        const size_t copies = overload_.DuplicateCopies(round, outcomes[i].client_id);
-        for (size_t c = 0; c < copies; ++c) {
-          IngressDelivery d = fresh_delivery(i);
-          d.redundant = true;
-          deliveries.push_back(d);
-        }
-      }
-      // Replays re-deliver the client's last *accepted* upload — what a
-      // retransmit buffer would still hold — at its original round key.
-      for (size_t i = 0; i < selected.size(); ++i) {
-        const LoggedUpload* logged = update_log_.Get(selected[i]);
-        if (logged == nullptr || logged->round >= round) {
-          continue;
-        }
-        const size_t slots = overload_.ReplaySlots(round, selected[i]);
-        for (size_t s = 0; s < slots; ++s) {
-          IngressDelivery d;
-          d.arrival.client_id = selected[i];
-          d.arrival.round = logged->round;
-          d.arrival.attempt = 0;
-          d.arrival.staleness = static_cast<double>(round - logged->round);
-          // A stale upload ranks below fresh ones under utility-priority
-          // shedding, more so the older it is.
-          d.arrival.utility = logged->quality / (1.0 + d.arrival.staleness);
-          d.idx = i;
-          d.redundant = true;
-          d.technique = static_cast<TechniqueKind>(logged->technique);
-          d.quality = logged->quality;
-          d.upload_comm_s = logged->upload_comm_s;
-          d.upload_mb = logged->upload_mb;
-          deliveries.push_back(d);
-        }
-      }
-    }
-    std::vector<AdmissionController::Verdict> verdicts;
-    if (admission_.enabled()) {
-      std::vector<AdmissionController::Arrival> arrivals;
-      arrivals.reserve(deliveries.size());
-      for (const IngressDelivery& d : deliveries) {
-        arrivals.push_back(d.arrival);
-      }
-      verdicts = admission_.Admit(round, arrivals, &admission_tracker_);
-    } else {
-      AdmissionController::Verdict pass;
-      pass.admitted = true;
-      verdicts.assign(deliveries.size(), pass);
-    }
-    for (size_t i = 0; i < deliveries.size(); ++i) {
-      const IngressDelivery& d = deliveries[i];
-      const AdmissionController::Verdict& v = verdicts[i];
-      if (!d.redundant) {
-        if (!v.admitted) {
-          // A legitimate upload turned away at ingress (shed / rate-limited):
-          // the round closes without it and phase 3 below books it like any
-          // other dropout.
-          outcomes[d.idx].completed = false;
-          outcomes[d.idx].reason = v.reason;
-        }
+      const ClientRoundOutcome& o = outcomes[i];
+      if (!o.completed) {
         continue;
       }
-      if (v.admitted) {
+      IngressDelivery d;
+      d.slot = i;
+      d.arrival.client_id = o.client_id;
+      d.arrival.round = round;
+      d.technique = o.technique;
+      d.quality = quality_of(o);
+      d.upload_comm_s = 0.5 * o.costs.comm_time_s;  // upload leg
+      d.upload_mb = 0.5 * o.costs.traffic_mb;
+      const double u = selector_->IngestUtility(o.client_id);
+      d.arrival.utility = u > 0.0 ? u : d.quality;
+      fresh.push_back(d);
+    }
+    for (const IngressDelivery& d :
+         ingress_.Ingest(round, std::move(fresh), selected, &LoggedUpload::quality)) {
+      const AdmissionController::Verdict& v = d.verdict;
+      if (!d.redundant()) {
+        if (!v.admitted) {
+          outcomes[d.slot].completed = false;
+          outcomes[d.slot].reason = v.reason;
+        }
+      } else if (v.admitted) {
         accountant_.Record(0.0, d.upload_comm_s, 0.0, false);
         redundant_mb_ += d.upload_mb;
-        RedundantDelivery red;
-        red.client_id = d.arrival.client_id;
-        red.quality = d.quality;
-        red.staleness = d.arrival.staleness;
-        red.weight = v.weight;
-        redundant_admitted.push_back(red);
+        ClientContribution redundant;
+        redundant.client_id = d.arrival.client_id;
+        redundant.quality = d.quality * v.weight;
+        redundant.staleness = d.arrival.staleness;
+        redundant_admitted.push_back(redundant);
       } else {
         // Rejected at the doorstep before any processing: one tracker record
         // and one participated=false policy report — no waste charge and no
@@ -673,7 +589,7 @@ void SyncEngine::RunRound(size_t round) {
         tracker_.Record(d.arrival.client_id, d.technique, false, v.reason);
         dropout_breakdown_.Count(v.reason);
         if (policy_ != nullptr) {
-          policy_->Report(d.arrival.client_id, observations[d.idx], global, d.technique, false,
+          policy_->Report(d.arrival.client_id, observations[d.slot], global, d.technique, false,
                           0.0);
         }
       }
@@ -709,25 +625,17 @@ void SyncEngine::RunRound(size_t round) {
       }
       candidates.push_back(i);
     }
-    std::vector<AdmissionController::Verdict> verdicts;
-    if (admission_.enabled() && !candidates.empty()) {
-      std::vector<AdmissionController::Arrival> arrivals;
-      arrivals.reserve(candidates.size());
-      for (size_t i : candidates) {
-        AdmissionController::Arrival a;
-        a.client_id = outcomes[i].client_id;
-        a.round = round;
-        a.attempt = kPartialUpdateAttempt;
-        const double u = selector_->IngestUtility(a.client_id);
-        a.utility = (u > 0.0 ? u : 1.0) * outcomes[i].salvage_fraction;
-        arrivals.push_back(a);
-      }
-      verdicts = admission_.Admit(round, arrivals, &admission_tracker_);
-    } else {
-      AdmissionController::Verdict pass;
-      pass.admitted = true;
-      verdicts.assign(candidates.size(), pass);
+    std::vector<AdmissionController::Arrival> arrivals(candidates.size());
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      AdmissionController::Arrival& a = arrivals[j];
+      a.client_id = outcomes[candidates[j]].client_id;
+      a.round = round;
+      a.attempt = kPartialUpdateAttempt;
+      const double u = selector_->IngestUtility(a.client_id);
+      a.utility = (u > 0.0 ? u : 1.0) * outcomes[candidates[j]].salvage_fraction;
     }
+    const std::vector<AdmissionController::Verdict> verdicts =
+        ingress_.AdmitPartials(round, arrivals);
     const double upload_payload_mb = GetModelProfile(config_.model).weight_mb;
     for (size_t j = 0; j < candidates.size(); ++j) {
       ClientRoundOutcome& o = outcomes[candidates[j]];
@@ -804,23 +712,8 @@ void SyncEngine::RunRound(size_t round) {
     if (outcome.completed) {
       ClientContribution contribution;
       contribution.client_id = outcome.client_id;
-      contribution.quality = 1.0 - EffectOf(outcome.technique).accuracy_impact;
-      if (outcome.byzantine) {
-        contribution.quality =
-            injector_.AttackedQuality(contribution.quality, round, outcome.client_id);
-      }
+      contribution.quality = quality_of(outcome);
       contributions.push_back(contribution);
-      if (overload_.enabled()) {
-        // Remember the accepted upload: the replay fault re-delivers exactly
-        // this entry in a later round.
-        LoggedUpload entry;
-        entry.round = round;
-        entry.quality = contribution.quality;
-        entry.upload_comm_s = 0.5 * outcome.costs.comm_time_s;  // upload leg
-        entry.upload_mb = 0.5 * outcome.costs.traffic_mb;
-        entry.technique = static_cast<uint32_t>(outcome.technique);
-        update_log_.Record(outcome.client_id, entry);
-      }
       round_duration = std::max(round_duration, outcome.time_spent_s);
       ++accepted;
     }
@@ -837,11 +730,7 @@ void SyncEngine::RunRound(size_t round) {
       }
       ClientContribution contribution;
       contribution.client_id = outcome.client_id;
-      contribution.quality = 1.0 - EffectOf(outcome.technique).accuracy_impact;
-      if (outcome.byzantine) {
-        contribution.quality =
-            injector_.AttackedQuality(contribution.quality, round, outcome.client_id);
-      }
+      contribution.quality = quality_of(outcome);
       contribution.weight = outcome.salvage_fraction;
       contributions.push_back(contribution);
     }
@@ -852,13 +741,7 @@ void SyncEngine::RunRound(size_t round) {
   // exactly the damage the admission gate exists to stop. They are re-counts
   // of already-closed uploads, so they never extend the round or count
   // toward the cohort.
-  for (const RedundantDelivery& red : redundant_admitted) {
-    ClientContribution contribution;
-    contribution.client_id = red.client_id;
-    contribution.quality = red.quality * red.weight;
-    contribution.staleness = red.staleness;
-    contributions.push_back(contribution);
-  }
+  contributions.insert(contributions.end(), redundant_admitted.begin(), redundant_admitted.end());
 
   // Edge tier (DESIGN.md §13): group the accepted contributions under their
   // effective (post-failover) edges, fold each group with the edge
@@ -1094,12 +977,12 @@ ExperimentResult SyncEngine::Snapshot() const {
   result.recovery_rounds_replayed = recovery_tracker_.RoundsReplayed();
   result.recovery_checkpoints_written = recovery_tracker_.CheckpointsWritten();
   result.recovery_checkpoints_failed = recovery_tracker_.CheckpointsFailed();
-  result.admission_admitted = admission_tracker_.Admitted();
-  result.admission_deduplicated = admission_tracker_.Deduplicated();
-  result.admission_shed = admission_tracker_.Shed();
-  result.admission_rate_limited = admission_tracker_.RateLimited();
-  result.admission_replay_rejected = admission_tracker_.ReplayRejected();
-  result.admission_peak_queue_depth = admission_tracker_.PeakQueueDepth();
+  result.admission_admitted = ingress_.tracker().Admitted();
+  result.admission_deduplicated = ingress_.tracker().Deduplicated();
+  result.admission_shed = ingress_.tracker().Shed();
+  result.admission_rate_limited = ingress_.tracker().RateLimited();
+  result.admission_replay_rejected = ingress_.tracker().ReplayRejected();
+  result.admission_peak_queue_depth = ingress_.tracker().PeakQueueDepth();
   result.redundant_mb = redundant_mb_;
   result.partials_salvaged = salvage_tracker_.PartialsSalvaged();
   result.partials_below_min = salvage_tracker_.PartialsBelowMin();
@@ -1152,9 +1035,7 @@ void SyncEngine::SaveState(CheckpointWriter& w) const {
   tree_.SaveState(w);
   topo_tracker_.SaveState(w);
   edge_deadline_ctrl_.SaveState(w);
-  admission_.SaveState(w);
-  update_log_.SaveState(w);
-  admission_tracker_.SaveState(w);
+  ingress_.SaveState(w);
   w.F64(redundant_mb_);
   salvage_tracker_.SaveState(w);
   scheduler_.SaveState(w);
@@ -1202,9 +1083,7 @@ void SyncEngine::LoadState(CheckpointReader& r) {
   tree_.LoadState(r);
   topo_tracker_.LoadState(r);
   edge_deadline_ctrl_.LoadState(r);
-  admission_.LoadState(r);
-  update_log_.LoadState(r);
-  admission_tracker_.LoadState(r);
+  ingress_.LoadState(r);
   redundant_mb_ = r.F64();
   salvage_tracker_.LoadState(r);
   scheduler_.LoadState(r);

@@ -17,18 +17,17 @@ size_t MagnitudePrune(std::vector<float>& values, double fraction) {
   if (k == 0) {
     return 0;
   }
-  std::vector<float> magnitudes(values.size());
+  std::vector<float> sorted(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    magnitudes[i] = std::fabs(values[i]);
+    sorted[i] = std::fabs(values[i]);
   }
-  std::vector<float> sorted = magnitudes;
   const size_t cutoff_index = std::min(k, sorted.size()) - 1;
   std::nth_element(sorted.begin(), sorted.begin() + static_cast<ptrdiff_t>(cutoff_index),
                    sorted.end());
   const float threshold = sorted[cutoff_index];
   size_t zeroed = 0;
   for (size_t i = 0; i < values.size() && zeroed < k; ++i) {
-    if (magnitudes[i] <= threshold && values[i] != 0.0f) {
+    if (std::fabs(values[i]) <= threshold && values[i] != 0.0f) {
       values[i] = 0.0f;
       ++zeroed;
     }

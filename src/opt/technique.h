@@ -28,6 +28,10 @@ enum class TechniqueKind {
   kCompressLossless,
 };
 
+// Number of TechniqueKind values. kCompressLossless must stay the last
+// enumerator.
+inline constexpr size_t kNumTechniques = static_cast<size_t>(TechniqueKind::kCompressLossless) + 1;
+
 std::string ToString(TechniqueKind kind);
 
 // Multipliers applied to the client's nominal round costs, plus the quality

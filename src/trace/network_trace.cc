@@ -124,7 +124,12 @@ void NetworkTrace::SaveState(CheckpointWriter& w) const {
 
 void NetworkTrace::LoadState(CheckpointReader& r) {
   LoadRng(r, rng_);
-  regime_ = static_cast<int>(r.U32());
+  const uint32_t regime = r.U32();
+  if (regime > 2) {
+    // No such regime: Step() would never leave it.
+    r.Fail();
+  }
+  regime_ = static_cast<int>(regime);
   log_dev_ = r.F64();
   current_mbps_ = r.F64();
   current_time_ = r.F64();

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/failure/checkpoint_io.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 namespace {
@@ -143,6 +147,28 @@ TEST(NetworkTraceTest, NominalWithinSaneRange) {
     NetworkTrace f5(NetworkKind::kFiveG, seed);
     EXPECT_GT(f5.NominalMbps(), 10.0);
     EXPECT_LT(f5.NominalMbps(), 2000.0);
+  }
+}
+
+// A regime outside good/degraded/outage would freeze the regime chain, so a
+// payload carrying one is refused rather than restored.
+TEST(NetworkTraceTest, LoadRefusesAnUnknownRegime) {
+  NetworkTrace trace(NetworkKind::kFourG, 5);
+  trace.BandwidthMbpsAt(600.0);
+  CheckpointWriter w;
+  trace.SaveState(w);
+  // The regime is the U32 right after the RNG state.
+  CheckpointWriter rng_only;
+  SaveRng(rng_only, Rng(5));
+  const size_t regime_offset = rng_only.buffer().size();
+
+  for (const uint32_t regime : {0u, 1u, 2u, 3u, 0xFFFFFFFFu}) {
+    std::string payload = w.buffer();
+    std::memcpy(payload.data() + regime_offset, &regime, sizeof(regime));
+    CheckpointReader r(payload);
+    NetworkTrace restored(NetworkKind::kFourG, 5);
+    restored.LoadState(r);
+    EXPECT_EQ(r.AtEnd(), regime <= 2) << "regime " << regime;
   }
 }
 
