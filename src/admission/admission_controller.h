@@ -74,6 +74,7 @@ class AdmissionController {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   // (client, round, attempt) — sorted so serialization is deterministic.
   using DedupKey = std::tuple<uint64_t, uint64_t, uint64_t>;
   struct Bucket {

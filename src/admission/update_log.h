@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/failure/checkpoint_io.h"
+#include "src/failure/checkpoint_util.h"
 #include "src/opt/technique.h"
 
 namespace floatfl {
@@ -55,52 +55,37 @@ class UpdateLog {
 
   size_t size() const { return entries_.size(); }
 
-  void SaveState(CheckpointWriter& w) const {
-    w.Size(entries_.size());
-    for (const LoggedUpload& e : entries_) {
-      w.Bool(e.valid);
-      if (!e.valid) {
-        continue;
-      }
-      w.U64(e.round);
-      w.U64(e.attempt);
-      w.F64(e.quality);
-      w.F64(e.upload_comm_s);
-      w.F64(e.upload_mb);
-      w.U32(e.technique);
-      w.F32Vec(e.params);
-      w.F64(e.weight);
-    }
-  }
   // Refuses (fails the reader) a payload saved for another population or
   // naming a technique that does not exist; the log keeps one entry per
   // client either way.
-  void LoadState(CheckpointReader& r) {
-    if (r.Size() != entries_.size()) {
-      r.Fail();
+  void SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+  void LoadState(CheckpointReader& r) { Transfer(r, *this); }
+
+ private:
+  template <class Ar, class Self>
+  static void Transfer(Ar& ar, Self& self) {
+    if (!CheckedCount(ar, self.entries_.size())) {
       return;
     }
-    for (LoggedUpload& e : entries_) {
-      e = LoggedUpload();
-      e.valid = r.Bool();
+    for (auto& e : self.entries_) {
+      if constexpr (kLoading<Ar>) {
+        e = LoggedUpload();
+      }
+      ar.Bool(e.valid);
       if (!e.valid) {
         continue;
       }
-      e.round = r.U64();
-      e.attempt = r.U64();
-      e.quality = r.F64();
-      e.upload_comm_s = r.F64();
-      e.upload_mb = r.F64();
-      e.technique = r.U32();
-      if (e.technique >= kNumTechniques) {
-        r.Fail();
-      }
-      e.params = r.F32Vec();
-      e.weight = r.F64();
+      ar.U64(e.round);
+      ar.U64(e.attempt);
+      ar.F64(e.quality);
+      ar.F64(e.upload_comm_s);
+      ar.F64(e.upload_mb);
+      Enum(ar, e.technique, kNumTechniques);
+      ar.F32Vec(e.params);
+      ar.F64(e.weight);
     }
   }
 
- private:
   std::vector<LoggedUpload> entries_;
 };
 

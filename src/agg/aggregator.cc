@@ -122,17 +122,15 @@ std::vector<float> Aggregator::Aggregate(const std::vector<std::vector<float>>& 
   return out;
 }
 
-void Aggregator::SaveState(CheckpointWriter& w) const {
-  w.Size(totals_.updates_clipped);
-  w.Size(totals_.krum_rejections);
-  w.Size(totals_.updates_trimmed);
+template <class Ar, class Self>
+void Aggregator::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.totals_.updates_clipped);
+  ar.Size(self.totals_.krum_rejections);
+  ar.Size(self.totals_.updates_trimmed);
 }
 
-void Aggregator::LoadState(CheckpointReader& r) {
-  totals_.updates_clipped = r.Size();
-  totals_.krum_rejections = r.Size();
-  totals_.updates_trimmed = r.Size();
-}
+void Aggregator::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void Aggregator::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 namespace {
 

@@ -71,6 +71,7 @@ class Aggregator {
                                          AggregatorStats& stats) = 0;
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   AggregatorConfig config_;
   AggregatorStats totals_;
 };

@@ -1,5 +1,7 @@
 #include "src/core/float_controller.h"
 
+#include "src/failure/checkpoint_util.h"
+
 namespace floatfl {
 
 FloatController::FloatController(const StateEncoderConfig& encoder_config,
@@ -70,28 +72,20 @@ std::string FloatController::Name() const {
   return agent_.encoder().config().include_human_feedback ? "float-rlhf" : "float-rl";
 }
 
-void FloatController::SaveState(CheckpointWriter& w) const {
-  agent_.SaveState(w);
-  w.Size(round_);
-  w.Size(reports_this_round_);
-  w.Size(calibration_samples_);
-  w.Bool(calibrated_);
-  w.F64Vec(cpu_samples_);
-  w.F64Vec(mem_samples_);
-  w.F64Vec(net_samples_);
-  w.F64Vec(deadline_samples_);
+template <class Ar, class Self>
+void FloatController::Transfer(Ar& ar, Self& self) {
+  Nested(ar, self.agent_);
+  ar.Size(self.round_);
+  ar.Size(self.reports_this_round_);
+  ar.Size(self.calibration_samples_);
+  ar.Bool(self.calibrated_);
+  ar.F64Vec(self.cpu_samples_);
+  ar.F64Vec(self.mem_samples_);
+  ar.F64Vec(self.net_samples_);
+  ar.F64Vec(self.deadline_samples_);
 }
 
-void FloatController::LoadState(CheckpointReader& r) {
-  agent_.LoadState(r);
-  round_ = r.Size();
-  reports_this_round_ = r.Size();
-  calibration_samples_ = r.Size();
-  calibrated_ = r.Bool();
-  cpu_samples_ = r.F64Vec();
-  mem_samples_ = r.F64Vec();
-  net_samples_ = r.F64Vec();
-  deadline_samples_ = r.F64Vec();
-}
+void FloatController::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void FloatController::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -54,6 +54,7 @@ class FloatController final : public TuningPolicy {
   }
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   void MaybeCollectCalibration(const ClientObservation& client);
 
   RlhfAgent agent_;

@@ -29,8 +29,8 @@ class HeuristicPolicy final : public TuningPolicy {
               double) override {}
   std::string Name() const override { return "heuristic"; }
 
-  void SaveState(CheckpointWriter& w) const override { SaveRng(w, rng_); }
-  void LoadState(CheckpointReader& r) override { LoadRng(r, rng_); }
+  void SaveState(CheckpointWriter& w) const override { RngState(w, rng_); }
+  void LoadState(CheckpointReader& r) override { RngState(r, rng_); }
 
  private:
   Rng rng_;

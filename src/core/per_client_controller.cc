@@ -1,6 +1,7 @@
 #include "src/core/per_client_controller.h"
 
 #include "src/common/check.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -58,25 +59,18 @@ size_t PerClientController::TotalMemoryBytes() const {
   return total;
 }
 
-void PerClientController::SaveState(CheckpointWriter& w) const {
-  w.Size(agents_.size());
-  for (const auto& agent : agents_) {
-    agent->SaveState(w);
-  }
-  w.SizeVec(rounds_);
-}
-
-void PerClientController::LoadState(CheckpointReader& r) {
-  const size_t n = r.Size();
-  FLOATFL_CHECK_MSG(n == agents_.size() || !r.ok(),
-                    "checkpoint policy shape mismatch: per-client agent count differs");
-  if (n != agents_.size()) {
+template <class Ar, class Self>
+void PerClientController::Transfer(Ar& ar, Self& self) {
+  if (!CheckedCount(ar, self.agents_.size())) {
     return;
   }
-  for (auto& agent : agents_) {
-    agent->LoadState(r);
+  for (const auto& agent : self.agents_) {
+    Nested(ar, *agent);
   }
-  rounds_ = r.SizeVec();
+  ar.SizeVec(self.rounds_);
 }
+
+void PerClientController::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void PerClientController::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

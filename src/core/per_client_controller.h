@@ -42,6 +42,7 @@ class PerClientController final : public TuningPolicy {
   size_t TotalMemoryBytes() const;
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   std::vector<std::unique_ptr<RlhfAgent>> agents_;
   std::vector<size_t> rounds_;  // per-client local round counters
 };

@@ -113,14 +113,13 @@ bool QTable::Load(const std::string& path) {
   return true;
 }
 
-void QTable::SaveState(CheckpointWriter& w) const {
-  w.F64Vec(q_);
-  w.U32Vec(visits_);
+template <class Ar, class Self>
+void QTable::Transfer(Ar& ar, Self& self) {
+  ar.F64Vec(self.q_);
+  ar.U32Vec(self.visits_);
 }
 
-void QTable::LoadState(CheckpointReader& r) {
-  q_ = r.F64Vec();
-  visits_ = r.U32Vec();
-}
+void QTable::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void QTable::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -55,6 +55,7 @@ class QTable {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t Index(size_t state, size_t action) const;
 
   size_t num_states_;

@@ -283,44 +283,28 @@ size_t RlhfAgent::MemoryBytes() const {
          cached_accuracy_.size() * sizeof(double) + cache_valid_.size();
 }
 
-void RlhfAgent::SaveState(CheckpointWriter& w) const {
-  encoder_.SaveState(w);
-  SaveRng(w, rng_);
-  table_.SaveState(w);
-  w.F64Vec(ma_participation_);
-  w.F64Vec(ma_accuracy_);
-  w.U8Vec(ma_seen_);
-  w.F64Vec(cached_accuracy_);
-  w.U8Vec(cache_valid_);
-  w.F64(max_improvement_seen_);
-  w.F64Vec(global_action_value_);
-  w.U32Vec(global_action_count_);
-  w.U32Vec(run_action_count_);
-  w.F64Vec(run_action_success_);
-  w.F64Vec(run_action_accuracy_);
-  w.F64Vec(reward_history_);
-  w.Size(rejected_rewards_);
-  w.Size(rejected_observations_);
+template <class Ar, class Self>
+void RlhfAgent::Transfer(Ar& ar, Self& self) {
+  Nested(ar, self.encoder_);
+  RngState(ar, self.rng_);
+  Nested(ar, self.table_);
+  ar.F64Vec(self.ma_participation_);
+  ar.F64Vec(self.ma_accuracy_);
+  ar.U8Vec(self.ma_seen_);
+  ar.F64Vec(self.cached_accuracy_);
+  ar.U8Vec(self.cache_valid_);
+  ar.F64(self.max_improvement_seen_);
+  ar.F64Vec(self.global_action_value_);
+  ar.U32Vec(self.global_action_count_);
+  ar.U32Vec(self.run_action_count_);
+  ar.F64Vec(self.run_action_success_);
+  ar.F64Vec(self.run_action_accuracy_);
+  ar.F64Vec(self.reward_history_);
+  ar.Size(self.rejected_rewards_);
+  ar.Size(self.rejected_observations_);
 }
 
-void RlhfAgent::LoadState(CheckpointReader& r) {
-  encoder_.LoadState(r);
-  LoadRng(r, rng_);
-  table_.LoadState(r);
-  ma_participation_ = r.F64Vec();
-  ma_accuracy_ = r.F64Vec();
-  ma_seen_ = r.U8Vec();
-  cached_accuracy_ = r.F64Vec();
-  cache_valid_ = r.U8Vec();
-  max_improvement_seen_ = r.F64();
-  global_action_value_ = r.F64Vec();
-  global_action_count_ = r.U32Vec();
-  run_action_count_ = r.U32Vec();
-  run_action_success_ = r.F64Vec();
-  run_action_accuracy_ = r.F64Vec();
-  reward_history_ = r.F64Vec();
-  rejected_rewards_ = r.Size();
-  rejected_observations_ = r.Size();
-}
+void RlhfAgent::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void RlhfAgent::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

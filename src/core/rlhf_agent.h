@@ -128,6 +128,7 @@ class RlhfAgent {
   const RlhfConfig& config() const { return config_; }
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   static int ActionIndexOf(TechniqueKind kind);
   // Replaces non-finite observation fields with neutral defaults (counted in
   // rejected_observations_) so a poisoned trace cannot derail state encoding.

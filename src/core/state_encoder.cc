@@ -1,6 +1,7 @@
 #include "src/core/state_encoder.h"
 
 #include "src/common/check.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 namespace {
@@ -97,25 +98,22 @@ void StateEncoder::FitResourceBins(const std::vector<double>& cpu_samples,
   RecomputeNumStates();
 }
 
-void StateEncoder::SaveState(CheckpointWriter& w) const {
-  w.F64Vec(cpu_bins_.boundaries());
-  w.F64Vec(mem_bins_.boundaries());
-  w.F64Vec(net_bins_.boundaries());
-  w.F64Vec(deadline_bins_.boundaries());
-  w.F64Vec(batch_bins_.boundaries());
-  w.F64Vec(epoch_bins_.boundaries());
-  w.F64Vec(participant_bins_.boundaries());
+template <class Ar, class Self>
+void StateEncoder::Transfer(Ar& ar, Self& self) {
+  for (auto* bins : {&self.cpu_bins_, &self.mem_bins_, &self.net_bins_, &self.deadline_bins_,
+                     &self.batch_bins_, &self.epoch_bins_, &self.participant_bins_}) {
+    if constexpr (kLoading<Ar>) {
+      *bins = Discretizer(ar.F64Vec());
+    } else {
+      ar.F64Vec(bins->boundaries());
+    }
+  }
+  if constexpr (kLoading<Ar>) {
+    self.RecomputeNumStates();
+  }
 }
 
-void StateEncoder::LoadState(CheckpointReader& r) {
-  cpu_bins_ = Discretizer(r.F64Vec());
-  mem_bins_ = Discretizer(r.F64Vec());
-  net_bins_ = Discretizer(r.F64Vec());
-  deadline_bins_ = Discretizer(r.F64Vec());
-  batch_bins_ = Discretizer(r.F64Vec());
-  epoch_bins_ = Discretizer(r.F64Vec());
-  participant_bins_ = Discretizer(r.F64Vec());
-  RecomputeNumStates();
-}
+void StateEncoder::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void StateEncoder::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

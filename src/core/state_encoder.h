@@ -49,6 +49,7 @@ class StateEncoder {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   StateEncoderConfig config_;
   Discretizer cpu_bins_;
   Discretizer mem_bins_;

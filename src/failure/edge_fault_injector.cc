@@ -132,18 +132,17 @@ double EdgeFaultInjector::TamperedQuality(double quality, size_t round, size_t e
   }
 }
 
-void EdgeFaultInjector::SaveState(CheckpointWriter& w) const {
-  w.Size(rounds_advanced_);
-  w.U8Vec(flaky_eligible_);
-  w.U8Vec(flaky_);
-  w.U8Vec(byzantine_eligible_);
+template <class Ar, class Self>
+void EdgeFaultInjector::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.rounds_advanced_);
+  ar.U8Vec(self.flaky_eligible_);
+  ar.U8Vec(self.flaky_);
+  ar.U8Vec(self.byzantine_eligible_);
 }
 
+void EdgeFaultInjector::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
 bool EdgeFaultInjector::LoadState(CheckpointReader& r) {
-  rounds_advanced_ = r.Size();
-  flaky_eligible_ = r.U8Vec();
-  flaky_ = r.U8Vec();
-  byzantine_eligible_ = r.U8Vec();
+  Transfer(r, *this);
   return r.ok();
 }
 

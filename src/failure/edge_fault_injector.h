@@ -72,6 +72,7 @@ class EdgeFaultInjector {
   bool LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   TopologyConfig config_;
   uint64_t seed_ = 0;
   bool enabled_ = false;

@@ -176,18 +176,17 @@ double FaultInjector::AttackedQuality(double quality, size_t round, size_t clien
   }
 }
 
-void FaultInjector::SaveState(CheckpointWriter& w) const {
-  w.Size(rounds_advanced_);
-  w.U8Vec(flaky_eligible_);
-  w.U8Vec(flaky_);
-  w.U8Vec(byzantine_eligible_);
+template <class Ar, class Self>
+void FaultInjector::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.rounds_advanced_);
+  ar.U8Vec(self.flaky_eligible_);
+  ar.U8Vec(self.flaky_);
+  ar.U8Vec(self.byzantine_eligible_);
 }
 
+void FaultInjector::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
 bool FaultInjector::LoadState(CheckpointReader& r) {
-  rounds_advanced_ = r.Size();
-  flaky_eligible_ = r.U8Vec();
-  flaky_ = r.U8Vec();
-  byzantine_eligible_ = r.U8Vec();
+  Transfer(r, *this);
   return r.ok();
 }
 

@@ -102,6 +102,7 @@ class FaultInjector {
   bool LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   FaultConfig config_;
   uint64_t seed_ = 0;
   bool enabled_ = false;

@@ -556,24 +556,8 @@ void AsyncEngine::StepOnce() {
       HealthSignal health;
       health.metric = surrogate_->GlobalAccuracy();
       health.loss = 1.0 - health.metric;
-      guard_.EndRound(
-          version_, health,
-          [this](CheckpointWriter& w) {
-            surrogate_->SaveState(w);
-            w.F64(last_accuracy_delta_);
-            w.Bool(policy_ != nullptr);
-            if (policy_ != nullptr) {
-              policy_->SaveState(w);
-            }
-          },
-          [this](CheckpointReader& r) {
-            surrogate_->LoadState(r);
-            last_accuracy_delta_ = r.F64();
-            const bool had_policy = r.Bool();
-            if (had_policy && policy_ != nullptr) {
-              policy_->LoadState(r);
-            }
-          });
+      const auto learning = [this](auto& ar) { TransferLearning(ar, *this); };
+      guard_.EndRound(version_, health, learning, learning);
     }
 
     ++version_;
@@ -592,241 +576,102 @@ ExperimentResult AsyncEngine::Run() {
   return Snapshot();
 }
 
-ExperimentResult AsyncEngine::Snapshot() const {
-  ExperimentResult result;
-  const std::vector<double> accuracies = surrogate_->AllClientAccuracies();
-  result.accuracy_avg = Mean(accuracies);
-  result.accuracy_top10 = TopFractionMean(accuracies, 0.10);
-  result.accuracy_bottom10 = BottomFractionMean(accuracies, 0.10);
-  result.global_accuracy = surrogate_->GlobalAccuracy();
-  result.total_selected = tracker_.TotalSelected();
-  result.total_completed = tracker_.TotalCompleted();
-  result.total_dropouts = tracker_.TotalDropouts();
-  result.never_selected = tracker_.NeverSelected();
-  result.never_completed = tracker_.NeverCompleted();
-  result.dropout_breakdown = dropout_breakdown_;
-  result.rejected_updates = rejected_updates_;
-  result.byzantine_selected = agg_tracker_.TotalByzantineSelected();
-  result.krum_rejections = agg_tracker_.TotalKrumRejections();
-  result.updates_trimmed = agg_tracker_.TotalTrimmed();
-  result.transfer_attempts = transport_tracker_.TotalAttempts();
-  result.wire_mb = transport_tracker_.TotalWireMb();
-  result.retransmitted_mb = transport_tracker_.TotalRetransmittedMb();
-  result.salvaged_mb = transport_tracker_.TotalSalvagedMb();
-  result.transfer_backoff_s = transport_tracker_.TotalBackoffS();
-  result.useful = accountant_.Useful();
-  result.wasted = accountant_.Wasted();
-  result.wall_clock_hours = now_s_ / 3600.0;
-  result.per_technique = tracker_.PerTechnique();
-  result.per_technique_dropouts = tracker_.DropoutsByTechnique();
-  result.guard_snapshots = guard_.tracker().Snapshots();
-  result.watchdog_triggers = guard_.tracker().WatchdogTriggers();
-  result.rollbacks = guard_.tracker().Rollbacks();
-  result.quarantined_actions = guard_.tracker().MaskedActions();
-  result.quarantine_openings = guard_.tracker().QuarantineOpenings();
-  result.rejected_rewards = guard_.tracker().RejectedRewards();
-  result.safe_mode_rounds = guard_.tracker().SafeModeRounds();
-  result.recovery_restarts = recovery_tracker_.Restarts();
-  result.recovery_archives_skipped = recovery_tracker_.ArchivesSkipped();
-  result.recovery_rounds_replayed = recovery_tracker_.RoundsReplayed();
-  result.recovery_checkpoints_written = recovery_tracker_.CheckpointsWritten();
-  result.recovery_checkpoints_failed = recovery_tracker_.CheckpointsFailed();
-  result.admission_admitted = ingress_.tracker().Admitted();
-  result.admission_deduplicated = ingress_.tracker().Deduplicated();
-  result.admission_shed = ingress_.tracker().Shed();
-  result.admission_rate_limited = ingress_.tracker().RateLimited();
-  result.admission_replay_rejected = ingress_.tracker().ReplayRejected();
-  result.admission_peak_queue_depth = ingress_.tracker().PeakQueueDepth();
-  result.redundant_mb = redundant_mb_;
-  result.partials_salvaged = salvage_tracker_.PartialsSalvaged();
-  result.partials_below_min = salvage_tracker_.PartialsBelowMin();
-  result.partials_rejected = salvage_tracker_.PartialsRejected();
-  result.salvaged_steps = salvage_tracker_.SalvagedSteps();
-  result.salvaged_progress_mb = salvage_tracker_.SalvagedProgressMb();
-  result.transfer_progress_mb = transport_tracker_.TotalProgressMb();
-  result.accuracy_history = accuracy_history_;
-  result.per_client_selected = tracker_.selected();
-  result.per_client_completed = tracker_.completed();
-  return result;
-}
+ExperimentResult AsyncEngine::Snapshot() const { return SurrogateResult(*this); }
 
 namespace {
 
-void SaveOutcome(CheckpointWriter& w, const ClientRoundOutcome& o) {
-  w.Size(o.client_id);
-  w.U32(static_cast<uint32_t>(o.technique));
-  w.Bool(o.completed);
-  w.U32(static_cast<uint32_t>(o.reason));
-  w.F64(o.costs.train_time_s);
-  w.F64(o.costs.comm_time_s);
-  w.F64(o.costs.total_time_s);
-  w.F64(o.costs.traffic_mb);
-  w.F64(o.costs.peak_memory_mb);
-  w.Bool(o.costs.out_of_memory);
-  w.F64(o.time_spent_s);
-  w.F64(o.deadline_diff);
-  w.Bool(o.corrupted);
-  w.U32(o.corrupt_kind);
-  w.Bool(o.byzantine);
-  w.Size(o.transfer_attempts);
-  w.F64(o.retransmitted_mb);
-  w.F64(o.salvaged_mb);
-  w.F64(o.transfer_backoff_s);
-  w.F64(o.effective_mbps);
-  w.F64(o.transfer_progress_mb);
-  w.F64(o.salvage_fraction);
-  w.Size(o.salvage_steps);
-  w.Size(o.salvage_total_steps);
-  w.Bool(o.salvaged);
-}
-
-void LoadOutcome(CheckpointReader& r, ClientRoundOutcome& o) {
-  o.client_id = r.Size();
-  o.technique = static_cast<TechniqueKind>(r.U32());
-  o.completed = r.Bool();
-  o.reason = static_cast<DropoutReason>(r.U32());
-  o.costs.train_time_s = r.F64();
-  o.costs.comm_time_s = r.F64();
-  o.costs.total_time_s = r.F64();
-  o.costs.traffic_mb = r.F64();
-  o.costs.peak_memory_mb = r.F64();
-  o.costs.out_of_memory = r.Bool();
-  o.time_spent_s = r.F64();
-  o.deadline_diff = r.F64();
-  o.corrupted = r.Bool();
-  o.corrupt_kind = r.U32();
-  o.byzantine = r.Bool();
-  o.transfer_attempts = r.Size();
-  o.retransmitted_mb = r.F64();
-  o.salvaged_mb = r.F64();
-  o.transfer_backoff_s = r.F64();
-  o.effective_mbps = r.F64();
-  o.transfer_progress_mb = r.F64();
-  o.salvage_fraction = r.F64();
-  o.salvage_steps = r.Size();
-  o.salvage_total_steps = r.Size();
-  o.salvaged = r.Bool();
+template <class Ar, class Outcome>
+void TransferOutcome(Ar& ar, Outcome& o) {
+  ar.Size(o.client_id);
+  Enum(ar, o.technique, kNumTechniques);
+  ar.Bool(o.completed);
+  Enum(ar, o.reason, kNumDropoutReasons);
+  ar.F64(o.costs.train_time_s);
+  ar.F64(o.costs.comm_time_s);
+  ar.F64(o.costs.total_time_s);
+  ar.F64(o.costs.traffic_mb);
+  ar.F64(o.costs.peak_memory_mb);
+  ar.Bool(o.costs.out_of_memory);
+  ar.F64(o.time_spent_s);
+  ar.F64(o.deadline_diff);
+  ar.Bool(o.corrupted);
+  ar.U32(o.corrupt_kind);
+  ar.Bool(o.byzantine);
+  ar.Size(o.transfer_attempts);
+  ar.F64(o.retransmitted_mb);
+  ar.F64(o.salvaged_mb);
+  ar.F64(o.transfer_backoff_s);
+  ar.F64(o.effective_mbps);
+  ar.F64(o.transfer_progress_mb);
+  ar.F64(o.salvage_fraction);
+  ar.Size(o.salvage_steps);
+  ar.Size(o.salvage_total_steps);
+  ar.Bool(o.salvaged);
 }
 
 }  // namespace
 
-void AsyncEngine::SaveState(CheckpointWriter& w) const {
-  w.F64(now_s_);
-  w.Size(version_);
-  w.F64(last_accuracy_delta_);
-  w.Size(rejected_updates_);
-  dropout_breakdown_.SaveState(w);
-  w.F64Vec(accuracy_history_);
-  SaveRng(w, rng_);
-  w.Size(clients_.size());
-  for (const auto& client : clients_) {
-    client.SaveState(w);
-  }
-  w.BoolVec(busy_);
-  w.Size(in_flight_.size());
-  for (const auto& flight : in_flight_) {
-    w.Size(flight.client_id);
-    w.F64(flight.finish_time_s);
-    w.Size(flight.start_version);
-    w.U32(static_cast<uint32_t>(flight.technique));
-    SaveOutcome(w, flight.outcome);
-    w.F64(flight.observation.cpu_avail);
-    w.F64(flight.observation.mem_avail);
-    w.F64(flight.observation.net_avail);
-    w.F64(flight.observation.deadline_diff);
-  }
-  w.Size(buffer_.size());
-  for (const auto& contribution : buffer_) {
-    w.Size(contribution.client_id);
-    w.F64(contribution.quality);
-    w.F64(contribution.staleness);
-    w.F64(contribution.weight);
-  }
-  surrogate_->SaveState(w);
-  accountant_.SaveState(w);
-  tracker_.SaveState(w);
-  injector_.SaveState(w);
-  w.Bool(policy_ != nullptr);
-  if (policy_ != nullptr) {
-    policy_->SaveState(w);
-  }
-  w.Size(pending_byzantine_);
-  agg_tracker_.SaveState(w);
-  transport_tracker_.SaveState(w);
-  guard_.SaveState(w);
-  ingress_.SaveState(w);
-  w.F64(redundant_mb_);
-  salvage_tracker_.SaveState(w);
-  // The RecoveryTracker stays the final section of every engine payload:
-  // the recovery tests strip it off the tail to compare training state.
-  recovery_tracker_.SaveState(w);
+// The learning state a guard rollback restores (DESIGN.md §11).
+template <class Ar, class Self>
+void AsyncEngine::TransferLearning(Ar& ar, Self& self) {
+  Nested(ar, *self.surrogate_);
+  ar.F64(self.last_accuracy_delta_);
+  Optional(ar, self.policy_);
 }
 
-void AsyncEngine::LoadState(CheckpointReader& r) {
-  now_s_ = r.F64();
-  version_ = r.Size();
-  last_accuracy_delta_ = r.F64();
-  rejected_updates_ = r.Size();
-  dropout_breakdown_.LoadState(r);
-  accuracy_history_ = r.F64Vec();
-  LoadRng(r, rng_);
-  const size_t n = r.Size();
-  // A failed reader (truncated/corrupted archive) returns zeros; that is the
-  // caller's error to report, not a process-aborting invariant violation.
-  FLOATFL_CHECK_MSG(n == clients_.size() || !r.ok(), "checkpoint population size mismatch");
-  if (n != clients_.size()) {
+template <class Ar, class Self>
+void AsyncEngine::Transfer(Ar& ar, Self& self) {
+  ar.F64(self.now_s_);
+  ar.Size(self.version_);
+  ar.F64(self.last_accuracy_delta_);
+  ar.Size(self.rejected_updates_);
+  Nested(ar, self.dropout_breakdown_);
+  ar.F64Vec(self.accuracy_history_);
+  RngState(ar, self.rng_);
+  if (!CheckedCount(ar, self.clients_.size())) {
     return;
   }
-  for (auto& client : clients_) {
-    client.LoadState(r);
+  for (auto& client : self.clients_) {
+    Nested(ar, client);
   }
-  busy_ = r.BoolVec();
-  in_flight_.clear();
-  const size_t flights = r.Size();
-  for (size_t i = 0; i < flights && r.ok(); ++i) {
-    InFlight flight;
-    flight.client_id = r.Size();
-    flight.finish_time_s = r.F64();
-    flight.start_version = r.Size();
-    flight.technique = static_cast<TechniqueKind>(r.U32());
-    LoadOutcome(r, flight.outcome);
-    flight.observation.cpu_avail = r.F64();
-    flight.observation.mem_avail = r.F64();
-    flight.observation.net_avail = r.F64();
-    flight.observation.deadline_diff = r.F64();
-    in_flight_.push_back(flight);
-  }
-  buffer_.clear();
-  const size_t buffered = r.Size();
-  for (size_t i = 0; i < buffered && r.ok(); ++i) {
-    ClientContribution contribution;
-    contribution.client_id = r.Size();
-    contribution.quality = r.F64();
-    contribution.staleness = r.F64();
-    contribution.weight = r.F64();
-    buffer_.push_back(contribution);
-  }
-  surrogate_->LoadState(r);
-  accountant_.LoadState(r);
-  tracker_.LoadState(r);
-  injector_.LoadState(r);
-  const bool had_policy = r.Bool();
-  FLOATFL_CHECK_MSG(had_policy == (policy_ != nullptr) || !r.ok(),
-                    "checkpoint policy presence mismatch");
-  if (had_policy != (policy_ != nullptr)) {
+  ar.BoolVec(self.busy_);
+  Seq(ar, self.in_flight_, [](auto& a, auto& flight) {
+    a.Size(flight.client_id);
+    a.F64(flight.finish_time_s);
+    a.Size(flight.start_version);
+    Enum(a, flight.technique, kNumTechniques);
+    TransferOutcome(a, flight.outcome);
+    a.F64(flight.observation.cpu_avail);
+    a.F64(flight.observation.mem_avail);
+    a.F64(flight.observation.net_avail);
+    a.F64(flight.observation.deadline_diff);
+  });
+  Seq(ar, self.buffer_, [](auto& a, auto& contribution) {
+    a.Size(contribution.client_id);
+    a.F64(contribution.quality);
+    a.F64(contribution.staleness);
+    a.F64(contribution.weight);
+  });
+  Nested(ar, *self.surrogate_);
+  Nested(ar, self.accountant_);
+  Nested(ar, self.tracker_);
+  Nested(ar, self.injector_);
+  if (!Optional(ar, self.policy_)) {
     return;
   }
-  if (policy_ != nullptr) {
-    policy_->LoadState(r);
-  }
-  pending_byzantine_ = r.Size();
-  agg_tracker_.LoadState(r);
-  transport_tracker_.LoadState(r);
-  guard_.LoadState(r);
-  ingress_.LoadState(r);
-  redundant_mb_ = r.F64();
-  salvage_tracker_.LoadState(r);
-  recovery_tracker_.LoadState(r);
+  ar.Size(self.pending_byzantine_);
+  Nested(ar, self.agg_tracker_);
+  Nested(ar, self.transport_tracker_);
+  Nested(ar, self.guard_);
+  Nested(ar, self.ingress_);
+  ar.F64(self.redundant_mb_);
+  Nested(ar, self.salvage_tracker_);
+  // The RecoveryTracker stays the final section of every engine payload:
+  // the recovery tests strip it off the tail to compare training state.
+  Nested(ar, self.recovery_tracker_);
 }
+
+void AsyncEngine::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void AsyncEngine::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

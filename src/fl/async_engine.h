@@ -75,6 +75,10 @@ class AsyncEngine {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
+  template <class Ar, class Self> static void TransferLearning(Ar& ar, Self& self);
+  template <class Engine> friend ExperimentResult SurrogateResult(const Engine& e);
+
   struct InFlight {
     size_t client_id;
     double finish_time_s;

@@ -2,6 +2,7 @@
 
 #include "src/common/rng.h"
 #include "src/data/dirichlet.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -14,31 +15,22 @@ Client::Client(size_t id, ClientShard shard, ComputeTrace compute, NetworkTrace 
       availability_(std::move(availability)),
       interference_(std::move(interference)) {}
 
-void Client::SaveState(CheckpointWriter& w) const {
-  w.Size(times_selected);
-  w.Size(times_completed);
-  w.F64(last_round_duration_s);
-  w.F64(last_deadline_diff);
-  w.F64(observed_window_s);
-  w.Size(cooldown_until_round);
-  compute_.SaveState(w);
-  network_.SaveState(w);
-  availability_.SaveState(w);
-  interference_.SaveState(w);
+template <class Ar, class Self>
+void Client::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.times_selected);
+  ar.Size(self.times_completed);
+  ar.F64(self.last_round_duration_s);
+  ar.F64(self.last_deadline_diff);
+  ar.F64(self.observed_window_s);
+  ar.Size(self.cooldown_until_round);
+  Nested(ar, self.compute_);
+  Nested(ar, self.network_);
+  Nested(ar, self.availability_);
+  Nested(ar, self.interference_);
 }
 
-void Client::LoadState(CheckpointReader& r) {
-  times_selected = r.Size();
-  times_completed = r.Size();
-  last_round_duration_s = r.F64();
-  last_deadline_diff = r.F64();
-  observed_window_s = r.F64();
-  cooldown_until_round = r.Size();
-  compute_.LoadState(r);
-  network_.LoadState(r);
-  availability_.LoadState(r);
-  interference_.LoadState(r);
-}
+void Client::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void Client::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 std::vector<Client> BuildPopulation(const DatasetSpec& spec, size_t num_clients, double alpha,
                                     InterferenceScenario interference, uint64_t seed) {

@@ -68,6 +68,7 @@ class Client {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t id_;
   ClientShard shard_;
   ComputeTrace compute_;

@@ -69,16 +69,14 @@ void DropoutBreakdown::Count(DropoutReason reason) {
 // the engine payloads: bump Checkpointer::kVersion along with this count.
 static_assert(kNumDropoutReasons == 16, "new DropoutReason: bump the checkpoint format");
 
-void DropoutBreakdown::SaveState(CheckpointWriter& w) const {
+template <class Ar, class Self>
+void DropoutBreakdown::Transfer(Ar& ar, Self& self) {
   for (size_t i = 1; i < kNumDropoutReasons; ++i) {
-    w.Size(counts_[i]);
+    ar.Size(self.counts_[i]);
   }
 }
 
-void DropoutBreakdown::LoadState(CheckpointReader& r) {
-  for (size_t i = 1; i < kNumDropoutReasons; ++i) {
-    counts_[i] = r.Size();
-  }
-}
+void DropoutBreakdown::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void DropoutBreakdown::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -11,6 +11,7 @@
 
 #include "src/admission/admission_config.h"
 #include "src/agg/aggregator_config.h"
+#include "src/common/stats.h"
 #include "src/data/dataset.h"
 #include "src/failure/fault_config.h"
 #include "src/guard/guard_config.h"
@@ -142,6 +143,7 @@ class DropoutBreakdown {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   std::array<size_t, kNumDropoutReasons> counts_{};
 };
 
@@ -248,6 +250,70 @@ struct ExperimentResult {
   std::vector<size_t> per_client_selected;
   std::vector<size_t> per_client_completed;
 };
+
+// The result fields the surrogate engines (SyncEngine, AsyncEngine) fill
+// alike: accuracy over the population plus every shared tracker's counters.
+// Each engine's Snapshot() starts from this and adds its own extras.
+template <class Engine>
+ExperimentResult SurrogateResult(const Engine& e) {
+  ExperimentResult result;
+  const std::vector<double> accuracies = e.surrogate_->AllClientAccuracies();
+  result.accuracy_avg = Mean(accuracies);
+  result.accuracy_top10 = TopFractionMean(accuracies, 0.10);
+  result.accuracy_bottom10 = BottomFractionMean(accuracies, 0.10);
+  result.global_accuracy = e.surrogate_->GlobalAccuracy();
+  result.total_selected = e.tracker_.TotalSelected();
+  result.total_completed = e.tracker_.TotalCompleted();
+  result.total_dropouts = e.tracker_.TotalDropouts();
+  result.never_selected = e.tracker_.NeverSelected();
+  result.never_completed = e.tracker_.NeverCompleted();
+  result.dropout_breakdown = e.dropout_breakdown_;
+  result.rejected_updates = e.rejected_updates_;
+  result.byzantine_selected = e.agg_tracker_.TotalByzantineSelected();
+  result.krum_rejections = e.agg_tracker_.TotalKrumRejections();
+  result.updates_trimmed = e.agg_tracker_.TotalTrimmed();
+  result.transfer_attempts = e.transport_tracker_.TotalAttempts();
+  result.wire_mb = e.transport_tracker_.TotalWireMb();
+  result.retransmitted_mb = e.transport_tracker_.TotalRetransmittedMb();
+  result.salvaged_mb = e.transport_tracker_.TotalSalvagedMb();
+  result.transfer_backoff_s = e.transport_tracker_.TotalBackoffS();
+  result.transfer_progress_mb = e.transport_tracker_.TotalProgressMb();
+  result.useful = e.accountant_.Useful();
+  result.wasted = e.accountant_.Wasted();
+  result.wall_clock_hours = e.now_s_ / 3600.0;
+  result.per_technique = e.tracker_.PerTechnique();
+  result.per_technique_dropouts = e.tracker_.DropoutsByTechnique();
+  const auto& guard = e.guard_.tracker();
+  result.guard_snapshots = guard.Snapshots();
+  result.watchdog_triggers = guard.WatchdogTriggers();
+  result.rollbacks = guard.Rollbacks();
+  result.quarantined_actions = guard.MaskedActions();
+  result.quarantine_openings = guard.QuarantineOpenings();
+  result.rejected_rewards = guard.RejectedRewards();
+  result.safe_mode_rounds = guard.SafeModeRounds();
+  result.recovery_restarts = e.recovery_tracker_.Restarts();
+  result.recovery_archives_skipped = e.recovery_tracker_.ArchivesSkipped();
+  result.recovery_rounds_replayed = e.recovery_tracker_.RoundsReplayed();
+  result.recovery_checkpoints_written = e.recovery_tracker_.CheckpointsWritten();
+  result.recovery_checkpoints_failed = e.recovery_tracker_.CheckpointsFailed();
+  const auto& admission = e.ingress_.tracker();
+  result.admission_admitted = admission.Admitted();
+  result.admission_deduplicated = admission.Deduplicated();
+  result.admission_shed = admission.Shed();
+  result.admission_rate_limited = admission.RateLimited();
+  result.admission_replay_rejected = admission.ReplayRejected();
+  result.admission_peak_queue_depth = admission.PeakQueueDepth();
+  result.redundant_mb = e.redundant_mb_;
+  result.partials_salvaged = e.salvage_tracker_.PartialsSalvaged();
+  result.partials_below_min = e.salvage_tracker_.PartialsBelowMin();
+  result.partials_rejected = e.salvage_tracker_.PartialsRejected();
+  result.salvaged_steps = e.salvage_tracker_.SalvagedSteps();
+  result.salvaged_progress_mb = e.salvage_tracker_.SalvagedProgressMb();
+  result.accuracy_history = e.accuracy_history_;
+  result.per_client_selected = e.tracker_.selected();
+  result.per_client_completed = e.tracker_.completed();
+  return result;
+}
 
 }  // namespace floatfl
 

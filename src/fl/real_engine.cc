@@ -715,25 +715,8 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       health.coverage =
           static_cast<double>(clients_at_root) / static_cast<double>(accepted_clients);
     }
-    const bool rolled_back = guard_.EndRound(
-        round, health,
-        [this](CheckpointWriter& w) {
-          w.F32Vec(global_->GetParameters());
-          w.Bool(policy_ != nullptr);
-          if (policy_ != nullptr) {
-            policy_->SaveState(w);
-          }
-        },
-        [this](CheckpointReader& r) {
-          const std::vector<float> params = r.F32Vec();
-          FLOATFL_CHECK_MSG(params.size() == global_->ParamCount(),
-                            "guard snapshot model parameter count mismatch");
-          global_->SetParameters(params);
-          const bool had_policy = r.Bool();
-          if (had_policy && policy_ != nullptr) {
-            policy_->LoadState(r);
-          }
-        });
+    const auto learning = [this](auto& ar) { TransferLearning(ar, *this); };
+    const bool rolled_back = guard_.EndRound(round, health, learning, learning);
     if (rolled_back) {
       stats.rolled_back = true;
       stats.test_accuracy = EvaluateAccuracy();
@@ -770,62 +753,51 @@ double RealFlEngine::EvaluateAccuracy() {
 
 double RealFlEngine::EvaluateLoss() { return global_->EvaluateLoss(test_inputs_, test_labels_); }
 
-void RealFlEngine::SaveState(CheckpointWriter& w) const {
-  w.Size(rounds_run_);
-  SaveRng(w, rng_);
-  SaveRng(w, client_stream_root_);
-  w.F32Vec(global_->GetParameters());
-  injector_.SaveState(w);
-  aggregator_->SaveState(w);
-  agg_tracker_.SaveState(w);
-  transport_tracker_.SaveState(w);
-  w.Bool(policy_ != nullptr);
-  if (policy_ != nullptr) {
-    policy_->SaveState(w);
+// The global model's parameters: a checked count, then the values, installed
+// on load only when the count matched.
+template <class Ar, class Self>
+void RealFlEngine::TransferParams(Ar& ar, Self& self) {
+  std::vector<float> params = self.global_->GetParameters();
+  if (FixedF32Vec(ar, params)) {
+    if constexpr (kLoading<Ar>) {
+      self.global_->SetParameters(params);
+    }
   }
-  guard_.SaveState(w);
-  edge_injector_.SaveState(w);
-  tree_.SaveState(w);
-  topo_tracker_.SaveState(w);
-  edge_aggregator_->SaveState(w);
-  ingress_.SaveState(w);
-  salvage_tracker_.SaveState(w);
-  // The RecoveryTracker stays the final section of every engine payload:
-  // the recovery tests strip it off the tail to compare training state.
-  recovery_tracker_.SaveState(w);
 }
 
-void RealFlEngine::LoadState(CheckpointReader& r) {
-  rounds_run_ = r.Size();
-  LoadRng(r, rng_);
-  LoadRng(r, client_stream_root_);
-  const std::vector<float> params = r.F32Vec();
-  FLOATFL_CHECK_MSG(params.size() == global_->ParamCount() || !r.ok(),
-                    "checkpoint model parameter count mismatch");
-  if (r.ok()) {
-    global_->SetParameters(params);
-  }
-  injector_.LoadState(r);
-  aggregator_->LoadState(r);
-  agg_tracker_.LoadState(r);
-  transport_tracker_.LoadState(r);
-  const bool had_policy = r.Bool();
-  FLOATFL_CHECK_MSG(had_policy == (policy_ != nullptr) || !r.ok(),
-                    "checkpoint policy presence mismatch");
-  if (had_policy != (policy_ != nullptr)) {
+// The learning state a guard rollback restores (DESIGN.md §11).
+template <class Ar, class Self>
+void RealFlEngine::TransferLearning(Ar& ar, Self& self) {
+  TransferParams(ar, self);
+  Optional(ar, self.policy_);
+}
+
+template <class Ar, class Self>
+void RealFlEngine::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.rounds_run_);
+  RngState(ar, self.rng_);
+  RngState(ar, self.client_stream_root_);
+  TransferParams(ar, self);
+  Nested(ar, self.injector_);
+  Nested(ar, *self.aggregator_);
+  Nested(ar, self.agg_tracker_);
+  Nested(ar, self.transport_tracker_);
+  if (!Optional(ar, self.policy_)) {
     return;
   }
-  if (policy_ != nullptr) {
-    policy_->LoadState(r);
-  }
-  guard_.LoadState(r);
-  edge_injector_.LoadState(r);
-  tree_.LoadState(r);
-  topo_tracker_.LoadState(r);
-  edge_aggregator_->LoadState(r);
-  ingress_.LoadState(r);
-  salvage_tracker_.LoadState(r);
-  recovery_tracker_.LoadState(r);
+  Nested(ar, self.guard_);
+  Nested(ar, self.edge_injector_);
+  Nested(ar, self.tree_);
+  Nested(ar, self.topo_tracker_);
+  Nested(ar, *self.edge_aggregator_);
+  Nested(ar, self.ingress_);
+  Nested(ar, self.salvage_tracker_);
+  // The RecoveryTracker stays the final section of every engine payload:
+  // the recovery tests strip it off the tail to compare training state.
+  Nested(ar, self.recovery_tracker_);
 }
+
+void RealFlEngine::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void RealFlEngine::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

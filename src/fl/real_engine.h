@@ -204,6 +204,10 @@ class RealFlEngine {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
+  template <class Ar, class Self> static void TransferParams(Ar& ar, Self& self);
+  template <class Ar, class Self> static void TransferLearning(Ar& ar, Self& self);
+
   // Applies the technique to a trained parameter vector; returns the bytes
   // a real upload would ship and the max-abs error injected.
   struct ProcessedUpdate {

@@ -6,6 +6,7 @@
 #include "src/agg/quality_agg.h"
 #include "src/common/check.h"
 #include "src/common/stats.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 namespace {
@@ -904,22 +905,8 @@ void SyncEngine::RunRound(size_t round) {
     if (tree_on && accepted > 0) {
       health.coverage = static_cast<double>(reached_root) / static_cast<double>(accepted);
     }
-    guard_.EndRound(
-        round, health,
-        [this](CheckpointWriter& w) {
-          surrogate_->SaveState(w);
-          w.Bool(policy_ != nullptr);
-          if (policy_ != nullptr) {
-            policy_->SaveState(w);
-          }
-        },
-        [this](CheckpointReader& r) {
-          surrogate_->LoadState(r);
-          const bool had_policy = r.Bool();
-          if (had_policy && policy_ != nullptr) {
-            policy_->LoadState(r);
-          }
-        });
+    const auto learning = [this](auto& ar) { TransferLearning(ar, *this); };
+    guard_.EndRound(round, health, learning, learning);
   }
 
   now_s_ += round_duration + kRoundOverheadS;
@@ -928,39 +915,7 @@ void SyncEngine::RunRound(size_t round) {
 }
 
 ExperimentResult SyncEngine::Snapshot() const {
-  ExperimentResult result;
-  const std::vector<double> accuracies = surrogate_->AllClientAccuracies();
-  result.accuracy_avg = Mean(accuracies);
-  result.accuracy_top10 = TopFractionMean(accuracies, 0.10);
-  result.accuracy_bottom10 = BottomFractionMean(accuracies, 0.10);
-  result.global_accuracy = surrogate_->GlobalAccuracy();
-  result.total_selected = tracker_.TotalSelected();
-  result.total_completed = tracker_.TotalCompleted();
-  result.total_dropouts = tracker_.TotalDropouts();
-  result.never_selected = tracker_.NeverSelected();
-  result.never_completed = tracker_.NeverCompleted();
-  result.dropout_breakdown = dropout_breakdown_;
-  result.rejected_updates = rejected_updates_;
-  result.byzantine_selected = agg_tracker_.TotalByzantineSelected();
-  result.krum_rejections = agg_tracker_.TotalKrumRejections();
-  result.updates_trimmed = agg_tracker_.TotalTrimmed();
-  result.transfer_attempts = transport_tracker_.TotalAttempts();
-  result.wire_mb = transport_tracker_.TotalWireMb();
-  result.retransmitted_mb = transport_tracker_.TotalRetransmittedMb();
-  result.salvaged_mb = transport_tracker_.TotalSalvagedMb();
-  result.transfer_backoff_s = transport_tracker_.TotalBackoffS();
-  result.useful = accountant_.Useful();
-  result.wasted = accountant_.Wasted();
-  result.wall_clock_hours = now_s_ / 3600.0;
-  result.per_technique = tracker_.PerTechnique();
-  result.per_technique_dropouts = tracker_.DropoutsByTechnique();
-  result.guard_snapshots = guard_.tracker().Snapshots();
-  result.watchdog_triggers = guard_.tracker().WatchdogTriggers();
-  result.rollbacks = guard_.tracker().Rollbacks();
-  result.quarantined_actions = guard_.tracker().MaskedActions();
-  result.quarantine_openings = guard_.tracker().QuarantineOpenings();
-  result.rejected_rewards = guard_.tracker().RejectedRewards();
-  result.safe_mode_rounds = guard_.tracker().SafeModeRounds();
+  ExperimentResult result = SurrogateResult(*this);
   result.edge_crashes = topo_tracker_.EdgeCrashes();
   result.edge_blackouts = topo_tracker_.EdgeBlackouts();
   result.reparented_clients = topo_tracker_.ReparentedClients();
@@ -972,31 +927,10 @@ ExperimentResult SyncEngine::Snapshot() const {
   result.late_partials = topo_tracker_.LatePartials();
   result.tier1_wire_mb = topo_tracker_.Tier1WireMb();
   result.tier1_retransmitted_mb = topo_tracker_.Tier1RetransmittedMb();
-  result.recovery_restarts = recovery_tracker_.Restarts();
-  result.recovery_archives_skipped = recovery_tracker_.ArchivesSkipped();
-  result.recovery_rounds_replayed = recovery_tracker_.RoundsReplayed();
-  result.recovery_checkpoints_written = recovery_tracker_.CheckpointsWritten();
-  result.recovery_checkpoints_failed = recovery_tracker_.CheckpointsFailed();
-  result.admission_admitted = ingress_.tracker().Admitted();
-  result.admission_deduplicated = ingress_.tracker().Deduplicated();
-  result.admission_shed = ingress_.tracker().Shed();
-  result.admission_rate_limited = ingress_.tracker().RateLimited();
-  result.admission_replay_rejected = ingress_.tracker().ReplayRejected();
-  result.admission_peak_queue_depth = ingress_.tracker().PeakQueueDepth();
-  result.redundant_mb = redundant_mb_;
-  result.partials_salvaged = salvage_tracker_.PartialsSalvaged();
-  result.partials_below_min = salvage_tracker_.PartialsBelowMin();
-  result.partials_rejected = salvage_tracker_.PartialsRejected();
-  result.salvaged_steps = salvage_tracker_.SalvagedSteps();
-  result.salvaged_progress_mb = salvage_tracker_.SalvagedProgressMb();
   result.backups_planned = salvage_tracker_.BackupsPlanned();
   result.backups_won = salvage_tracker_.BackupsWon();
   result.backups_redundant = salvage_tracker_.BackupsRedundant();
   result.deadline_misses_averted = salvage_tracker_.DeadlineMissesAverted();
-  result.transfer_progress_mb = transport_tracker_.TotalProgressMb();
-  result.accuracy_history = accuracy_history_;
-  result.per_client_selected = tracker_.selected();
-  result.per_client_completed = tracker_.completed();
   return result;
 }
 
@@ -1007,87 +941,53 @@ ExperimentResult SyncEngine::Run() {
   return Snapshot();
 }
 
-void SyncEngine::SaveState(CheckpointWriter& w) const {
-  w.F64(now_s_);
-  w.Size(rounds_run_);
-  w.Size(rejected_updates_);
-  dropout_breakdown_.SaveState(w);
-  w.F64Vec(accuracy_history_);
-  w.Size(clients_.size());
-  for (const auto& client : clients_) {
-    client.SaveState(w);
-  }
-  surrogate_->SaveState(w);
-  accountant_.SaveState(w);
-  tracker_.SaveState(w);
-  injector_.SaveState(w);
-  selector_->SaveState(w);
-  w.Bool(policy_ != nullptr);
-  if (policy_ != nullptr) {
-    policy_->SaveState(w);
-  }
-  agg_tracker_.SaveState(w);
-  w.F64(round_deadline_s_);
-  transport_tracker_.SaveState(w);
-  deadline_ctrl_.SaveState(w);
-  guard_.SaveState(w);
-  edge_injector_.SaveState(w);
-  tree_.SaveState(w);
-  topo_tracker_.SaveState(w);
-  edge_deadline_ctrl_.SaveState(w);
-  ingress_.SaveState(w);
-  w.F64(redundant_mb_);
-  salvage_tracker_.SaveState(w);
-  scheduler_.SaveState(w);
-  // The RecoveryTracker stays the final section of every engine payload:
-  // the recovery tests strip it off the tail to compare training state.
-  recovery_tracker_.SaveState(w);
+// The learning state a guard rollback restores (DESIGN.md §11).
+template <class Ar, class Self>
+void SyncEngine::TransferLearning(Ar& ar, Self& self) {
+  Nested(ar, *self.surrogate_);
+  Optional(ar, self.policy_);
 }
 
-void SyncEngine::LoadState(CheckpointReader& r) {
-  now_s_ = r.F64();
-  rounds_run_ = r.Size();
-  rejected_updates_ = r.Size();
-  dropout_breakdown_.LoadState(r);
-  accuracy_history_ = r.F64Vec();
-  const size_t n = r.Size();
-  // A failed reader (truncated/corrupted archive) returns zeros; that is the
-  // caller's error to report, not a process-aborting invariant violation.
-  FLOATFL_CHECK_MSG(n == clients_.size() || !r.ok(), "checkpoint population size mismatch");
-  if (n != clients_.size()) {
+template <class Ar, class Self>
+void SyncEngine::Transfer(Ar& ar, Self& self) {
+  ar.F64(self.now_s_);
+  ar.Size(self.rounds_run_);
+  ar.Size(self.rejected_updates_);
+  Nested(ar, self.dropout_breakdown_);
+  ar.F64Vec(self.accuracy_history_);
+  if (!CheckedCount(ar, self.clients_.size())) {
     return;
   }
-  for (auto& client : clients_) {
-    client.LoadState(r);
+  for (auto& client : self.clients_) {
+    Nested(ar, client);
   }
-  surrogate_->LoadState(r);
-  accountant_.LoadState(r);
-  tracker_.LoadState(r);
-  injector_.LoadState(r);
-  selector_->LoadState(r);
-  const bool had_policy = r.Bool();
-  FLOATFL_CHECK_MSG(had_policy == (policy_ != nullptr) || !r.ok(),
-                    "checkpoint policy presence mismatch");
-  if (had_policy != (policy_ != nullptr)) {
+  Nested(ar, *self.surrogate_);
+  Nested(ar, self.accountant_);
+  Nested(ar, self.tracker_);
+  Nested(ar, self.injector_);
+  Nested(ar, *self.selector_);
+  if (!Optional(ar, self.policy_)) {
     return;
   }
-  if (policy_ != nullptr) {
-    policy_->LoadState(r);
-  }
-  agg_tracker_.LoadState(r);
-  round_deadline_s_ = r.F64();
-  transport_tracker_.LoadState(r);
-  deadline_ctrl_.LoadState(r);
-  guard_.LoadState(r);
-  edge_injector_.LoadState(r);
-  tree_.LoadState(r);
-  topo_tracker_.LoadState(r);
-  edge_deadline_ctrl_.LoadState(r);
-  ingress_.LoadState(r);
-  redundant_mb_ = r.F64();
-  salvage_tracker_.LoadState(r);
-  scheduler_.LoadState(r);
-  recovery_tracker_.LoadState(r);
+  Nested(ar, self.agg_tracker_);
+  ar.F64(self.round_deadline_s_);
+  Nested(ar, self.transport_tracker_);
+  Nested(ar, self.deadline_ctrl_);
+  Nested(ar, self.guard_);
+  Nested(ar, self.edge_injector_);
+  Nested(ar, self.tree_);
+  Nested(ar, self.topo_tracker_);
+  Nested(ar, self.edge_deadline_ctrl_);
+  Nested(ar, self.ingress_);
+  ar.F64(self.redundant_mb_);
+  Nested(ar, self.salvage_tracker_);
+  Nested(ar, self.scheduler_);
+  // The RecoveryTracker stays the final section of every engine payload:
+  // the recovery tests strip it off the tail to compare training state.
+  Nested(ar, self.recovery_tracker_);
 }
+
+void SyncEngine::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void SyncEngine::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -148,6 +148,10 @@ class SyncEngine {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
+  template <class Ar, class Self> static void TransferLearning(Ar& ar, Self& self);
+  template <class Engine> friend ExperimentResult SurrogateResult(const Engine& e);
+
   ExperimentConfig config_;
   Selector* selector_;
   TuningPolicy* policy_;

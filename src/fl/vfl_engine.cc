@@ -43,22 +43,11 @@ bool AllFinite(const std::vector<float>& v) {
   return true;
 }
 
-void SaveLayer(CheckpointWriter& w, const DenseLayer& layer) {
-  w.F32Vec(layer.weights().flat());
-  w.F32Vec(layer.bias().flat());
-}
-
-void LoadLayer(CheckpointReader& r, DenseLayer& layer) {
-  const std::vector<float> weights = r.F32Vec();
-  const std::vector<float> bias = r.F32Vec();
-  FLOATFL_CHECK_MSG((weights.size() == layer.weights().flat().size() &&
-                     bias.size() == layer.bias().flat().size()) ||
-                        !r.ok(),
-                    "checkpoint VFL layer shape mismatch");
-  if (r.ok()) {
-    layer.weights().flat() = weights;
-    layer.bias().flat() = bias;
-  }
+// One dense layer: weights, then bias, each a checked count and the values.
+template <class Ar, class Layer>
+void TransferLayer(Ar& ar, Layer& layer) {
+  FixedF32Vec(ar, layer.weights().flat());
+  FixedF32Vec(ar, layer.bias().flat());
 }
 
 }  // namespace
@@ -282,20 +271,8 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
     HealthSignal health;
     health.metric = stats.test_accuracy;
     health.loss = stats.train_loss;
-    const bool rolled_back = guard_.EndRound(
-        epoch, health,
-        [this](CheckpointWriter& w) {
-          for (const auto& bottom : bottoms_) {
-            SaveLayer(w, bottom);
-          }
-          SaveLayer(w, *top_);
-        },
-        [this](CheckpointReader& r) {
-          for (auto& bottom : bottoms_) {
-            LoadLayer(r, bottom);
-          }
-          LoadLayer(r, *top_);
-        });
+    const auto learning = [this](auto& ar) { TransferLearning(ar, *this); };
+    const bool rolled_back = guard_.EndRound(epoch, health, learning, learning);
     if (rolled_back) {
       stats.rolled_back = true;
       stats.test_accuracy = EvaluateAccuracy();
@@ -311,37 +288,31 @@ double VflEngine::EvaluateAccuracy() {
   return SoftmaxXent::Accuracy(logits, test_labels_);
 }
 
-void VflEngine::SaveState(CheckpointWriter& w) const {
-  w.Size(epochs_run_);
-  SaveRng(w, rng_);
-  w.Size(bottoms_.size());
-  for (const auto& bottom : bottoms_) {
-    SaveLayer(w, bottom);
+// The split model, every party encoder then the top classifier: the
+// learning state a guard rollback restores (DESIGN.md §11).
+template <class Ar, class Self>
+void VflEngine::TransferLearning(Ar& ar, Self& self) {
+  for (auto& bottom : self.bottoms_) {
+    TransferLayer(ar, bottom);
   }
-  SaveLayer(w, *top_);
-  injector_.SaveState(w);
-  transport_tracker_.SaveState(w);
-  guard_.SaveState(w);
-  recovery_tracker_.SaveState(w);
+  TransferLayer(ar, *self.top_);
 }
 
-void VflEngine::LoadState(CheckpointReader& r) {
-  epochs_run_ = r.Size();
-  LoadRng(r, rng_);
-  const size_t parties = r.Size();
-  FLOATFL_CHECK_MSG(parties == bottoms_.size() || !r.ok(),
-                    "checkpoint VFL party count mismatch");
-  if (parties != bottoms_.size()) {
+template <class Ar, class Self>
+void VflEngine::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.epochs_run_);
+  RngState(ar, self.rng_);
+  if (!CheckedCount(ar, self.bottoms_.size())) {
     return;
   }
-  for (auto& bottom : bottoms_) {
-    LoadLayer(r, bottom);
-  }
-  LoadLayer(r, *top_);
-  injector_.LoadState(r);
-  transport_tracker_.LoadState(r);
-  guard_.LoadState(r);
-  recovery_tracker_.LoadState(r);
+  TransferLearning(ar, self);
+  Nested(ar, self.injector_);
+  Nested(ar, self.transport_tracker_);
+  Nested(ar, self.guard_);
+  Nested(ar, self.recovery_tracker_);
 }
+
+void VflEngine::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void VflEngine::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

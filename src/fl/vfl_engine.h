@@ -100,6 +100,9 @@ class VflEngine {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
+  template <class Ar, class Self> static void TransferLearning(Ar& ar, Self& self);
+
   // Forward all parties for rows [start, start+count) of `inputs`; returns
   // the concatenated (possibly quantize-dequantized) embedding batch and
   // accumulates traffic. `faults`, when non-null, holds this epoch's

@@ -57,6 +57,7 @@ class ActionQuarantine {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   struct Cell {
     size_t trials = 0;
     size_t failures = 0;

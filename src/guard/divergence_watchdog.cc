@@ -40,16 +40,14 @@ void DivergenceWatchdog::ResetAfterRollback(double restored_metric) {
   stall_rounds_ = 0;
 }
 
-void DivergenceWatchdog::SaveState(CheckpointWriter& w) const {
-  w.Bool(has_best_);
-  w.F64(best_);
-  w.Size(stall_rounds_);
+template <class Ar, class Self>
+void DivergenceWatchdog::Transfer(Ar& ar, Self& self) {
+  ar.Bool(self.has_best_);
+  ar.F64(self.best_);
+  ar.Size(self.stall_rounds_);
 }
 
-void DivergenceWatchdog::LoadState(CheckpointReader& r) {
-  has_best_ = r.Bool();
-  best_ = r.F64();
-  stall_rounds_ = r.Size();
-}
+void DivergenceWatchdog::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void DivergenceWatchdog::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

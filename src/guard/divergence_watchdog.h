@@ -64,6 +64,7 @@ class DivergenceWatchdog {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   GuardConfig config_;
   bool has_best_ = false;
   double best_ = 0.0;

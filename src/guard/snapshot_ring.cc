@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_io.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -26,25 +26,16 @@ const SnapshotRing::Entry& SnapshotRing::FromNewest(size_t depth) const {
   return entries_[entries_.size() - 1 - clamped];
 }
 
-void SnapshotRing::SaveState(CheckpointWriter& w) const {
-  w.Size(entries_.size());
-  for (const Entry& e : entries_) {
-    w.Size(e.round);
-    w.F64(e.metric);
-    w.Str(e.blob);
-  }
+template <class Ar, class Self>
+void SnapshotRing::Transfer(Ar& ar, Self& self) {
+  Seq(ar, self.entries_, [](auto& a, auto& e) {
+    a.Size(e.round);
+    a.F64(e.metric);
+    a.Str(e.blob);
+  });
 }
 
-void SnapshotRing::LoadState(CheckpointReader& r) {
-  entries_.clear();
-  const size_t n = r.Size();
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    Entry e;
-    e.round = r.Size();
-    e.metric = r.F64();
-    e.blob = r.Str();
-    entries_.push_back(std::move(e));
-  }
-}
+void SnapshotRing::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void SnapshotRing::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

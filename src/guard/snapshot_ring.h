@@ -44,6 +44,7 @@ class SnapshotRing {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t capacity_ = 0;
   std::deque<Entry> entries_;  // oldest at front, newest at back
 };

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "src/failure/checkpoint_io.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -112,26 +112,19 @@ bool TrainingGuard::EndRound(size_t round, const HealthSignal& health, const Sav
   return true;
 }
 
-void TrainingGuard::SaveState(CheckpointWriter& w) const {
-  watchdog_.SaveState(w);
-  ring_.SaveState(w);
-  quarantine_.SaveState(w);
-  tracker_.SaveState(w);
-  w.Size(safe_mode_until_round_);
-  w.Size(consecutive_triggers_);
-  w.Size(next_snapshot_round_);
-  w.Size(last_round_begun_);
+template <class Ar, class Self>
+void TrainingGuard::Transfer(Ar& ar, Self& self) {
+  Nested(ar, self.watchdog_);
+  Nested(ar, self.ring_);
+  Nested(ar, self.quarantine_);
+  Nested(ar, self.tracker_);
+  ar.Size(self.safe_mode_until_round_);
+  ar.Size(self.consecutive_triggers_);
+  ar.Size(self.next_snapshot_round_);
+  ar.Size(self.last_round_begun_);
 }
 
-void TrainingGuard::LoadState(CheckpointReader& r) {
-  watchdog_.LoadState(r);
-  ring_.LoadState(r);
-  quarantine_.LoadState(r);
-  tracker_.LoadState(r);
-  safe_mode_until_round_ = r.Size();
-  consecutive_triggers_ = r.Size();
-  next_snapshot_round_ = r.Size();
-  last_round_begun_ = r.Size();
-}
+void TrainingGuard::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void TrainingGuard::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

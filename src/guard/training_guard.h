@@ -73,6 +73,7 @@ class TrainingGuard {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   GuardConfig config_;
   DivergenceWatchdog watchdog_;
   SnapshotRing ring_;

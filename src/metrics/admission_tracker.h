@@ -35,24 +35,20 @@ class AdmissionTracker {
     return deduplicated_ + shed_ + rate_limited_ + replay_rejected_;
   }
 
-  void SaveState(CheckpointWriter& w) const {
-    w.Size(admitted_);
-    w.Size(deduplicated_);
-    w.Size(shed_);
-    w.Size(rate_limited_);
-    w.Size(replay_rejected_);
-    w.Size(peak_queue_depth_);
-  }
-  void LoadState(CheckpointReader& r) {
-    admitted_ = r.Size();
-    deduplicated_ = r.Size();
-    shed_ = r.Size();
-    rate_limited_ = r.Size();
-    replay_rejected_ = r.Size();
-    peak_queue_depth_ = r.Size();
-  }
+  void SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+  void LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
  private:
+  template <class Ar, class Self>
+  static void Transfer(Ar& ar, Self& self) {
+    ar.Size(self.admitted_);
+    ar.Size(self.deduplicated_);
+    ar.Size(self.shed_);
+    ar.Size(self.rate_limited_);
+    ar.Size(self.replay_rejected_);
+    ar.Size(self.peak_queue_depth_);
+  }
+
   size_t admitted_ = 0;
   size_t deduplicated_ = 0;
   size_t shed_ = 0;

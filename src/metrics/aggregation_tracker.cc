@@ -1,5 +1,7 @@
 #include "src/metrics/aggregation_tracker.h"
 
+#include "src/failure/checkpoint_util.h"
+
 namespace floatfl {
 
 void AggregationTracker::Record(size_t byzantine_selected, const AggregatorStats& round_stats) {
@@ -43,28 +45,17 @@ size_t AggregationTracker::TotalTrimmed() const {
   return total;
 }
 
-void AggregationTracker::SaveState(CheckpointWriter& w) const {
-  w.Size(history_.size());
-  for (const auto& r : history_) {
-    w.Size(r.byzantine_selected);
-    w.Size(r.updates_clipped);
-    w.Size(r.krum_rejections);
-    w.Size(r.updates_trimmed);
-  }
+template <class Ar, class Self>
+void AggregationTracker::Transfer(Ar& ar, Self& self) {
+  Seq(ar, self.history_, [](auto& a, auto& record) {
+    a.Size(record.byzantine_selected);
+    a.Size(record.updates_clipped);
+    a.Size(record.krum_rejections);
+    a.Size(record.updates_trimmed);
+  });
 }
 
-void AggregationTracker::LoadState(CheckpointReader& r) {
-  history_.clear();
-  const size_t n = r.Size();
-  history_.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    AggregationRoundRecord record;
-    record.byzantine_selected = r.Size();
-    record.updates_clipped = r.Size();
-    record.krum_rejections = r.Size();
-    record.updates_trimmed = r.Size();
-    history_.push_back(record);
-  }
-}
+void AggregationTracker::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void AggregationTracker::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -40,6 +40,7 @@ class AggregationTracker {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   std::vector<AggregationRoundRecord> history_;
 };
 

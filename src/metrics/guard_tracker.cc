@@ -4,28 +4,20 @@
 
 namespace floatfl {
 
-void GuardTracker::SaveState(CheckpointWriter& w) const {
-  w.Size(snapshots_);
-  w.Size(nonfinite_triggers_);
-  w.Size(collapse_triggers_);
-  w.Size(stall_triggers_);
-  w.Size(rollbacks_);
-  w.Size(masked_actions_);
-  w.Size(quarantine_openings_);
-  w.Size(rejected_rewards_);
-  w.Size(safe_mode_rounds_);
+template <class Ar, class Self>
+void GuardTracker::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.snapshots_);
+  ar.Size(self.nonfinite_triggers_);
+  ar.Size(self.collapse_triggers_);
+  ar.Size(self.stall_triggers_);
+  ar.Size(self.rollbacks_);
+  ar.Size(self.masked_actions_);
+  ar.Size(self.quarantine_openings_);
+  ar.Size(self.rejected_rewards_);
+  ar.Size(self.safe_mode_rounds_);
 }
 
-void GuardTracker::LoadState(CheckpointReader& r) {
-  snapshots_ = r.Size();
-  nonfinite_triggers_ = r.Size();
-  collapse_triggers_ = r.Size();
-  stall_triggers_ = r.Size();
-  rollbacks_ = r.Size();
-  masked_actions_ = r.Size();
-  quarantine_openings_ = r.Size();
-  rejected_rewards_ = r.Size();
-  safe_mode_rounds_ = r.Size();
-}
+void GuardTracker::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void GuardTracker::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -45,6 +45,7 @@ class GuardTracker {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t snapshots_ = 0;
   size_t nonfinite_triggers_ = 0;
   size_t collapse_triggers_ = 0;

@@ -1,6 +1,7 @@
 #include "src/metrics/participation_tracker.h"
 
 #include "src/common/check.h"
+#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -85,49 +86,25 @@ size_t ParticipationTracker::NeverCompleted() const {
   return count;
 }
 
-void ParticipationTracker::SaveState(CheckpointWriter& w) const {
-  w.SizeVec(selected_);
-  w.SizeVec(completed_);
-  w.Size(per_technique_.size());
-  for (const auto& [kind, stats] : per_technique_) {
-    w.U32(static_cast<uint32_t>(kind));
-    w.Size(stats.success);
-    w.Size(stats.failure);
-  }
-  w.Size(dropouts_by_technique_.size());
-  for (const auto& [kind, reasons] : dropouts_by_technique_) {
-    w.U32(static_cast<uint32_t>(kind));
-    w.Size(reasons.size());
-    for (const auto& [reason, count] : reasons) {
-      w.U32(reason);
-      w.Size(count);
-    }
-  }
+template <class Ar, class Self>
+void ParticipationTracker::Transfer(Ar& ar, Self& self) {
+  ar.SizeVec(self.selected_);
+  ar.SizeVec(self.completed_);
+  Seq(ar, self.per_technique_, [](auto& a, auto& entry) {
+    Enum(a, entry.first, kNumTechniques);
+    a.Size(entry.second.success);
+    a.Size(entry.second.failure);
+  });
+  Seq(ar, self.dropouts_by_technique_, [](auto& a, auto& entry) {
+    Enum(a, entry.first, kNumTechniques);
+    Seq(a, entry.second, [](auto& b, auto& count) {
+      b.U32(count.first);
+      b.Size(count.second);
+    });
+  });
 }
 
-void ParticipationTracker::LoadState(CheckpointReader& r) {
-  selected_ = r.SizeVec();
-  completed_ = r.SizeVec();
-  per_technique_.clear();
-  const size_t n = r.Size();
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    const TechniqueKind kind = static_cast<TechniqueKind>(r.U32());
-    TechniqueStats stats;
-    stats.success = r.Size();
-    stats.failure = r.Size();
-    per_technique_[kind] = stats;
-  }
-  dropouts_by_technique_.clear();
-  const size_t kinds = r.Size();
-  for (size_t i = 0; i < kinds && r.ok(); ++i) {
-    const TechniqueKind kind = static_cast<TechniqueKind>(r.U32());
-    ReasonCounts& reasons = dropouts_by_technique_[kind];
-    const size_t entries = r.Size();
-    for (size_t j = 0; j < entries && r.ok(); ++j) {
-      const uint32_t reason = r.U32();
-      reasons[reason] = r.Size();
-    }
-  }
-}
+void ParticipationTracker::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void ParticipationTracker::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

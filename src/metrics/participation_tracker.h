@@ -66,6 +66,7 @@ class ParticipationTracker {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   std::mutex mu_;  // serializes Record
   std::vector<size_t> selected_;
   std::vector<size_t> completed_;

@@ -4,24 +4,18 @@
 
 namespace floatfl {
 
-void RecoveryTracker::SaveState(CheckpointWriter& w) const {
-  w.Size(restarts_);
-  w.Size(archives_skipped_);
-  w.Size(rounds_replayed_);
-  w.Size(checkpoints_written_);
-  w.Size(checkpoints_failed_);
-  w.Size(checkpoints_collected_);
-  w.Size(temps_swept_);
+template <class Ar, class Self>
+void RecoveryTracker::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.restarts_);
+  ar.Size(self.archives_skipped_);
+  ar.Size(self.rounds_replayed_);
+  ar.Size(self.checkpoints_written_);
+  ar.Size(self.checkpoints_failed_);
+  ar.Size(self.checkpoints_collected_);
+  ar.Size(self.temps_swept_);
 }
 
-void RecoveryTracker::LoadState(CheckpointReader& r) {
-  restarts_ = r.Size();
-  archives_skipped_ = r.Size();
-  rounds_replayed_ = r.Size();
-  checkpoints_written_ = r.Size();
-  checkpoints_failed_ = r.Size();
-  checkpoints_collected_ = r.Size();
-  temps_swept_ = r.Size();
-}
+void RecoveryTracker::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void RecoveryTracker::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

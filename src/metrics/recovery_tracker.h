@@ -52,6 +52,7 @@ class RecoveryTracker {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t restarts_ = 0;
   size_t archives_skipped_ = 0;
   size_t rounds_replayed_ = 0;

@@ -26,24 +26,17 @@ ResourceTotals ResourceAccountant::Total() const {
   return t;
 }
 
-void ResourceAccountant::SaveState(CheckpointWriter& w) const {
-  w.F64(useful_.compute_hours);
-  w.F64(useful_.comm_hours);
-  w.F64(useful_.memory_tb);
-  w.F64(wasted_.compute_hours);
-  w.F64(wasted_.comm_hours);
-  w.F64(wasted_.memory_tb);
-  w.Size(records_);
+template <class Ar, class Self>
+void ResourceAccountant::Transfer(Ar& ar, Self& self) {
+  for (auto* cost : {&self.useful_, &self.wasted_}) {
+    ar.F64(cost->compute_hours);
+    ar.F64(cost->comm_hours);
+    ar.F64(cost->memory_tb);
+  }
+  ar.Size(self.records_);
 }
 
-void ResourceAccountant::LoadState(CheckpointReader& r) {
-  useful_.compute_hours = r.F64();
-  useful_.comm_hours = r.F64();
-  useful_.memory_tb = r.F64();
-  wasted_.compute_hours = r.F64();
-  wasted_.comm_hours = r.F64();
-  wasted_.memory_tb = r.F64();
-  records_ = r.Size();
-}
+void ResourceAccountant::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void ResourceAccountant::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

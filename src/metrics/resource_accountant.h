@@ -53,6 +53,7 @@ class ResourceAccountant {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   std::mutex mu_;  // serializes Record
   ResourceTotals useful_;
   ResourceTotals wasted_;

@@ -2,30 +2,21 @@
 
 namespace floatfl {
 
-void SalvageTracker::SaveState(CheckpointWriter& w) const {
-  w.Size(partials_salvaged_);
-  w.Size(partials_below_min_);
-  w.Size(partials_rejected_);
-  w.U64(salvaged_steps_);
-  w.F64(salvaged_fraction_sum_);
-  w.F64(salvaged_progress_mb_);
-  w.Size(backups_planned_);
-  w.Size(backups_won_);
-  w.Size(backups_redundant_);
-  w.Size(deadline_misses_averted_);
+template <class Ar, class Self>
+void SalvageTracker::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.partials_salvaged_);
+  ar.Size(self.partials_below_min_);
+  ar.Size(self.partials_rejected_);
+  ar.U64(self.salvaged_steps_);
+  ar.F64(self.salvaged_fraction_sum_);
+  ar.F64(self.salvaged_progress_mb_);
+  ar.Size(self.backups_planned_);
+  ar.Size(self.backups_won_);
+  ar.Size(self.backups_redundant_);
+  ar.Size(self.deadline_misses_averted_);
 }
 
-void SalvageTracker::LoadState(CheckpointReader& r) {
-  partials_salvaged_ = r.Size();
-  partials_below_min_ = r.Size();
-  partials_rejected_ = r.Size();
-  salvaged_steps_ = r.U64();
-  salvaged_fraction_sum_ = r.F64();
-  salvaged_progress_mb_ = r.F64();
-  backups_planned_ = r.Size();
-  backups_won_ = r.Size();
-  backups_redundant_ = r.Size();
-  deadline_misses_averted_ = r.Size();
-}
+void SalvageTracker::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void SalvageTracker::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

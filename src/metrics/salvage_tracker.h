@@ -57,6 +57,7 @@ class SalvageTracker {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t partials_salvaged_ = 0;
   size_t partials_below_min_ = 0;
   size_t partials_rejected_ = 0;

@@ -2,36 +2,24 @@
 
 namespace floatfl {
 
-void TopologyTracker::SaveState(CheckpointWriter& w) const {
-  w.Size(edge_crashes_);
-  w.Size(edge_blackouts_);
-  w.Size(reparented_clients_);
-  w.Size(orphaned_clients_);
-  w.Size(partials_forwarded_);
-  w.Size(partials_lost_);
-  w.Size(tampered_partials_);
-  w.Size(tampered_rejections_);
-  w.Size(late_partials_);
-  w.Size(edge_agg_exclusions_);
-  w.Size(edge_transfer_attempts_);
-  w.F64(tier1_wire_mb_);
-  w.F64(tier1_retransmitted_mb_);
+template <class Ar, class Self>
+void TopologyTracker::Transfer(Ar& ar, Self& self) {
+  ar.Size(self.edge_crashes_);
+  ar.Size(self.edge_blackouts_);
+  ar.Size(self.reparented_clients_);
+  ar.Size(self.orphaned_clients_);
+  ar.Size(self.partials_forwarded_);
+  ar.Size(self.partials_lost_);
+  ar.Size(self.tampered_partials_);
+  ar.Size(self.tampered_rejections_);
+  ar.Size(self.late_partials_);
+  ar.Size(self.edge_agg_exclusions_);
+  ar.Size(self.edge_transfer_attempts_);
+  ar.F64(self.tier1_wire_mb_);
+  ar.F64(self.tier1_retransmitted_mb_);
 }
 
-void TopologyTracker::LoadState(CheckpointReader& r) {
-  edge_crashes_ = r.Size();
-  edge_blackouts_ = r.Size();
-  reparented_clients_ = r.Size();
-  orphaned_clients_ = r.Size();
-  partials_forwarded_ = r.Size();
-  partials_lost_ = r.Size();
-  tampered_partials_ = r.Size();
-  tampered_rejections_ = r.Size();
-  late_partials_ = r.Size();
-  edge_agg_exclusions_ = r.Size();
-  edge_transfer_attempts_ = r.Size();
-  tier1_wire_mb_ = r.F64();
-  tier1_retransmitted_mb_ = r.F64();
-}
+void TopologyTracker::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void TopologyTracker::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -59,6 +59,7 @@ class TopologyTracker {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t edge_crashes_ = 0;
   size_t edge_blackouts_ = 0;
   size_t reparented_clients_ = 0;

@@ -39,6 +39,7 @@ class TransportTracker {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   size_t transfers_ = 0;
   size_t attempts_ = 0;
   size_t timeouts_ = 0;

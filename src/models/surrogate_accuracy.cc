@@ -167,20 +167,16 @@ double SurrogateAccuracyModel::DataCoverage() const {
   return covered;
 }
 
-void SurrogateAccuracyModel::SaveState(CheckpointWriter& w) const {
-  w.F64(global_accuracy_);
-  w.Size(rounds_);
-  w.F64(quality_ewma_);
-  w.F64Vec(contrib_ewma_);
-  w.BoolVec(ever_contributed_);
+template <class Ar, class Self>
+void SurrogateAccuracyModel::Transfer(Ar& ar, Self& self) {
+  ar.F64(self.global_accuracy_);
+  ar.Size(self.rounds_);
+  ar.F64(self.quality_ewma_);
+  ar.F64Vec(self.contrib_ewma_);
+  ar.BoolVec(self.ever_contributed_);
 }
 
-void SurrogateAccuracyModel::LoadState(CheckpointReader& r) {
-  global_accuracy_ = r.F64();
-  rounds_ = r.Size();
-  quality_ewma_ = r.F64();
-  contrib_ewma_ = r.F64Vec();
-  ever_contributed_ = r.BoolVec();
-}
+void SurrogateAccuracyModel::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void SurrogateAccuracyModel::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

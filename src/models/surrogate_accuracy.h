@@ -84,6 +84,7 @@ class SurrogateAccuracyModel {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   SurrogateConfig config_;
   double global_accuracy_;
   size_t rounds_ = 0;

@@ -58,18 +58,15 @@ double AdaptiveDeadlineController::ThroughputEstimate(size_t client_id) const {
   return throughput_ewma_[client_id];
 }
 
-void AdaptiveDeadlineController::SaveState(CheckpointWriter& w) const {
-  w.F64(base_deadline_s_);
-  w.F64Vec(round_time_ewma_);
-  w.F64Vec(throughput_ewma_);
-  w.U8Vec(seen_);
+template <class Ar, class Self>
+void AdaptiveDeadlineController::Transfer(Ar& ar, Self& self) {
+  ar.F64(self.base_deadline_s_);
+  ar.F64Vec(self.round_time_ewma_);
+  ar.F64Vec(self.throughput_ewma_);
+  ar.U8Vec(self.seen_);
 }
 
-void AdaptiveDeadlineController::LoadState(CheckpointReader& r) {
-  base_deadline_s_ = r.F64();
-  round_time_ewma_ = r.F64Vec();
-  throughput_ewma_ = r.F64Vec();
-  seen_ = r.U8Vec();
-}
+void AdaptiveDeadlineController::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void AdaptiveDeadlineController::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

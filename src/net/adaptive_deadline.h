@@ -61,6 +61,7 @@ class AdaptiveDeadlineController {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   AdaptiveDeadlineConfig config_;
   double base_deadline_s_ = 0.0;
   std::vector<double> round_time_ewma_;

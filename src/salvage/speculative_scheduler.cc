@@ -88,16 +88,14 @@ std::vector<BackupPlan> SpeculativeScheduler::Plan(size_t round,
   return plans;
 }
 
-void SpeculativeScheduler::SaveState(CheckpointWriter& w) const {
-  w.U64(cursor_);
-  w.U64(backups_planned_);
-  w.U64(rounds_planned_);
+template <class Ar, class Self>
+void SpeculativeScheduler::Transfer(Ar& ar, Self& self) {
+  ar.U64(self.cursor_);
+  ar.U64(self.backups_planned_);
+  ar.U64(self.rounds_planned_);
 }
 
-void SpeculativeScheduler::LoadState(CheckpointReader& r) {
-  cursor_ = r.U64();
-  backups_planned_ = r.U64();
-  rounds_planned_ = r.U64();
-}
+void SpeculativeScheduler::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void SpeculativeScheduler::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -49,6 +49,7 @@ class SpeculativeScheduler {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   SalvageConfig config_;
   // Ring-scan start offset; advances by the number of backups drafted so
   // consecutive rounds spread backup duty across the population instead of

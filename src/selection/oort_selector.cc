@@ -137,24 +137,18 @@ void OortSelector::OnTransfer(size_t client_id, double effective_mbps, double no
                            Client::kProfileEwmaObserve * ratio;
 }
 
-void OortSelector::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64Vec(utility_);
-  w.BoolVec(explored_);
-  w.SizeVec(failures_);
-  w.F64Vec(net_factor_);
-  w.F64(pacer_fraction_);
-  w.F64(completion_ewma_);
+template <class Ar, class Self>
+void OortSelector::Transfer(Ar& ar, Self& self) {
+  RngState(ar, self.rng_);
+  ar.F64Vec(self.utility_);
+  ar.BoolVec(self.explored_);
+  ar.SizeVec(self.failures_);
+  ar.F64Vec(self.net_factor_);
+  ar.F64(self.pacer_fraction_);
+  ar.F64(self.completion_ewma_);
 }
 
-void OortSelector::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  utility_ = r.F64Vec();
-  explored_ = r.BoolVec();
-  failures_ = r.SizeVec();
-  net_factor_ = r.F64Vec();
-  pacer_fraction_ = r.F64();
-  completion_ewma_ = r.F64();
-}
+void OortSelector::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void OortSelector::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -50,6 +50,7 @@ class OortSelector final : public Selector {
   double NetFactor(size_t client_id) const { return net_factor_[client_id]; }
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   Rng rng_;
   Params params_;
   std::vector<double> utility_;

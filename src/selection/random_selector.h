@@ -18,8 +18,8 @@ class RandomSelector final : public Selector {
                              std::vector<Client>& clients) override;
   std::string Name() const override { return "fedavg"; }
 
-  void SaveState(CheckpointWriter& w) const override { SaveRng(w, rng_); }
-  void LoadState(CheckpointReader& r) override { LoadRng(r, rng_); }
+  void SaveState(CheckpointWriter& w) const override { RngState(w, rng_); }
+  void LoadState(CheckpointReader& r) override { RngState(r, rng_); }
 
  private:
   Rng rng_;

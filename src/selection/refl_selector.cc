@@ -106,24 +106,18 @@ void ReflSelector::OnTransfer(size_t client_id, double effective_mbps, double no
                            Client::kProfileEwmaObserve * ratio;
 }
 
-void ReflSelector::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64Vec(predicted_window_s_);
-  w.F64Vec(estimated_duration_s_);
-  w.SizeVec(last_participated_);
-  w.BoolVec(seen_);
-  w.F64Vec(net_factor_);
-  w.F64(last_deadline_s_);
+template <class Ar, class Self>
+void ReflSelector::Transfer(Ar& ar, Self& self) {
+  RngState(ar, self.rng_);
+  ar.F64Vec(self.predicted_window_s_);
+  ar.F64Vec(self.estimated_duration_s_);
+  ar.SizeVec(self.last_participated_);
+  ar.BoolVec(self.seen_);
+  ar.F64Vec(self.net_factor_);
+  ar.F64(self.last_deadline_s_);
 }
 
-void ReflSelector::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  predicted_window_s_ = r.F64Vec();
-  estimated_duration_s_ = r.F64Vec();
-  last_participated_ = r.SizeVec();
-  seen_ = r.BoolVec();
-  net_factor_ = r.F64Vec();
-  last_deadline_s_ = r.F64();
-}
+void ReflSelector::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void ReflSelector::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

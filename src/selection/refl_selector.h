@@ -38,6 +38,7 @@ class ReflSelector final : public Selector {
   double NetFactor(size_t client_id) const { return net_factor_[client_id]; }
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   Rng rng_;
   std::vector<double> predicted_window_s_;    // EWMA of observed on-periods
   std::vector<double> estimated_duration_s_;  // EWMA of observed round durations

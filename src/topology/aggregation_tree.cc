@@ -62,16 +62,14 @@ size_t AggregationTree::EffectiveEdge(size_t client_id) const {
   return StandinFor(HomeEdge(client_id));
 }
 
-void AggregationTree::SaveState(CheckpointWriter& w) const {
-  w.SizeVec(cooldown_until_);
-  w.U8Vec(up_);
-  w.SizeVec(foster_);
+template <class Ar, class Self>
+void AggregationTree::Transfer(Ar& ar, Self& self) {
+  ar.SizeVec(self.cooldown_until_);
+  ar.U8Vec(self.up_);
+  ar.SizeVec(self.foster_);
 }
 
-void AggregationTree::LoadState(CheckpointReader& r) {
-  cooldown_until_ = r.SizeVec();
-  up_ = r.U8Vec();
-  foster_ = r.SizeVec();
-}
+void AggregationTree::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void AggregationTree::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

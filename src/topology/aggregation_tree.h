@@ -68,6 +68,7 @@ class AggregationTree {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   TopologyConfig config_;
   size_t num_clients_ = 0;
   // Per-edge first round at which a crashed edge may rejoin.

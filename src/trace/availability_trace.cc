@@ -62,28 +62,17 @@ bool AvailabilityTrace::AvailableFor(double start_s, double duration_s) {
   return seg.on && seg.end >= start_s + duration_s;
 }
 
-void AvailabilityTrace::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.Size(segments_.size());
-  for (const Segment& seg : segments_) {
-    w.F64(seg.start);
-    w.F64(seg.end);
-    w.Bool(seg.on);
-  }
+template <class Ar, class Self>
+void AvailabilityTrace::Transfer(Ar& ar, Self& self) {
+  RngState(ar, self.rng_);
+  Seq(ar, self.segments_, [](auto& a, auto& seg) {
+    a.F64(seg.start);
+    a.F64(seg.end);
+    a.Bool(seg.on);
+  });
 }
 
-void AvailabilityTrace::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  const size_t n = r.Size();
-  segments_.clear();
-  segments_.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    Segment seg;
-    seg.start = r.F64();
-    seg.end = r.F64();
-    seg.on = r.Bool();
-    segments_.push_back(seg);
-  }
-}
+void AvailabilityTrace::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void AvailabilityTrace::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -34,6 +34,7 @@ class AvailabilityTrace {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   struct Segment {
     double start;
     double end;

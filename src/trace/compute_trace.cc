@@ -78,18 +78,15 @@ double ComputeTrace::GflopsAt(double time_s) {
   return current_gflops_;
 }
 
-void ComputeTrace::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64(drift_);
-  w.F64(current_time_);
-  w.F64(current_gflops_);
+template <class Ar, class Self>
+void ComputeTrace::Transfer(Ar& ar, Self& self) {
+  RngState(ar, self.rng_);
+  ar.F64(self.drift_);
+  ar.F64(self.current_time_);
+  ar.F64(self.current_gflops_);
 }
 
-void ComputeTrace::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  drift_ = r.F64();
-  current_time_ = r.F64();
-  current_gflops_ = r.F64();
-}
+void ComputeTrace::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void ComputeTrace::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -40,6 +40,7 @@ class ComputeTrace {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   DeviceTier tier_;
   double base_gflops_;
   double memory_gb_;

@@ -74,26 +74,19 @@ ResourceAvailability InterferenceModel::At(double time_s) {
   return current_;
 }
 
-void InterferenceModel::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64(dev_cpu_);
-  w.F64(dev_mem_);
-  w.F64(dev_net_);
-  w.F64(current_time_);
-  w.F64(current_.cpu);
-  w.F64(current_.memory);
-  w.F64(current_.network);
+template <class Ar, class Self>
+void InterferenceModel::Transfer(Ar& ar, Self& self) {
+  RngState(ar, self.rng_);
+  ar.F64(self.dev_cpu_);
+  ar.F64(self.dev_mem_);
+  ar.F64(self.dev_net_);
+  ar.F64(self.current_time_);
+  ar.F64(self.current_.cpu);
+  ar.F64(self.current_.memory);
+  ar.F64(self.current_.network);
 }
 
-void InterferenceModel::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  dev_cpu_ = r.F64();
-  dev_mem_ = r.F64();
-  dev_net_ = r.F64();
-  current_time_ = r.F64();
-  current_.cpu = r.F64();
-  current_.memory = r.F64();
-  current_.network = r.F64();
-}
+void InterferenceModel::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void InterferenceModel::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -44,6 +44,7 @@ class InterferenceModel {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   InterferenceScenario scenario_;
   Rng rng_;
   ResourceAvailability static_level_;

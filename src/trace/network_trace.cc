@@ -113,27 +113,18 @@ double NetworkTrace::BandwidthMbpsAt(double time_s) {
   return current_mbps_;
 }
 
-void NetworkTrace::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.U32(static_cast<uint32_t>(regime_));
-  w.F64(log_dev_);
-  w.F64(current_mbps_);
-  w.F64(current_time_);
-  w.F64(last_query_s_);
+template <class Ar, class Self>
+void NetworkTrace::Transfer(Ar& ar, Self& self) {
+  RngState(ar, self.rng_);
+  // Three regimes: Step() would never leave any other.
+  Enum(ar, self.regime_, 3);
+  ar.F64(self.log_dev_);
+  ar.F64(self.current_mbps_);
+  ar.F64(self.current_time_);
+  ar.F64(self.last_query_s_);
 }
 
-void NetworkTrace::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  const uint32_t regime = r.U32();
-  if (regime > 2) {
-    // No such regime: Step() would never leave it.
-    r.Fail();
-  }
-  regime_ = static_cast<int>(regime);
-  log_dev_ = r.F64();
-  current_mbps_ = r.F64();
-  current_time_ = r.F64();
-  last_query_s_ = r.F64();
-}
+void NetworkTrace::SaveState(CheckpointWriter& w) const { Transfer(w, *this); }
+void NetworkTrace::LoadState(CheckpointReader& r) { Transfer(r, *this); }
 
 }  // namespace floatfl

@@ -46,6 +46,7 @@ class NetworkTrace {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <class Ar, class Self> static void Transfer(Ar& ar, Self& self);
   // Advances the latent regime and log deviation by one step.
   void Step();
   // Recomputes current_mbps_ from the latent state (no-op when pinned).
