@@ -78,7 +78,7 @@ class OracleNetwork {
   }
 
   void SaveState(CheckpointWriter& w) const {
-    SaveRng(w, rng_);
+    RngState(w, rng_);
     w.U32(static_cast<uint32_t>(regime_));
     w.F64(log_dev_);
     w.F64(current_mbps_);
@@ -87,7 +87,7 @@ class OracleNetwork {
   }
 
   void LoadState(CheckpointReader& r) {
-    LoadRng(r, rng_);
+    RngState(r, rng_);
     regime_ = static_cast<int>(r.U32());
     log_dev_ = r.F64();
     current_mbps_ = r.F64();
@@ -156,14 +156,14 @@ class OracleCompute {
   }
 
   void SaveState(CheckpointWriter& w) const {
-    SaveRng(w, rng_);
+    RngState(w, rng_);
     w.F64(drift_);
     w.F64(current_time_);
     w.F64(current_gflops_);
   }
 
   void LoadState(CheckpointReader& r) {
-    LoadRng(r, rng_);
+    RngState(r, rng_);
     drift_ = r.F64();
     current_time_ = r.F64();
     current_gflops_ = r.F64();
@@ -208,7 +208,7 @@ class OracleInterference {
   }
 
   void SaveState(CheckpointWriter& w) const {
-    SaveRng(w, rng_);
+    RngState(w, rng_);
     w.F64(dev_cpu_);
     w.F64(dev_mem_);
     w.F64(dev_net_);
@@ -219,7 +219,7 @@ class OracleInterference {
   }
 
   void LoadState(CheckpointReader& r) {
-    LoadRng(r, rng_);
+    RngState(r, rng_);
     dev_cpu_ = r.F64();
     dev_mem_ = r.F64();
     dev_net_ = r.F64();

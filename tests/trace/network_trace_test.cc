@@ -159,7 +159,8 @@ TEST(NetworkTraceTest, LoadRefusesAnUnknownRegime) {
   trace.SaveState(w);
   // The regime is the U32 right after the RNG state.
   CheckpointWriter rng_only;
-  SaveRng(rng_only, Rng(5));
+  const Rng rng(5);
+  RngState(rng_only, rng);
   const size_t regime_offset = rng_only.buffer().size();
 
   for (const uint32_t regime : {0u, 1u, 2u, 3u, 0xFFFFFFFFu}) {
