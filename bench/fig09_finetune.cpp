@@ -15,9 +15,8 @@ using namespace floatfl_bench;
 
 namespace {
 
-// Average reward of the agent's feedback stream, grouped per round.
-std::vector<double> PerRoundRewards(const RlhfAgent& agent, size_t per_round) {
-  const std::vector<double>& history = agent.RewardHistory();
+// Average reward of an agent's feedback stream, grouped per round.
+std::vector<double> PerRoundRewards(const std::vector<double>& history, size_t per_round) {
   std::vector<double> rounds;
   for (size_t start = 0; start + per_round <= history.size(); start += per_round) {
     double sum = 0.0;
@@ -43,9 +42,12 @@ std::vector<double> AveragedCurve(const ExperimentConfig& base_config,
     if (pretrained != nullptr) {
       controller->agent().InitializeFrom(pretrained->agent());
     }
+    // The agent keeps only its last rewards; the curve needs every one.
+    std::vector<double> rewards;
+    controller->agent().SetRewardLog(&rewards);
     (void)RunSync(config, "fedavg", controller.get());
-    const std::vector<double> curve =
-        PerRoundRewards(controller->agent(), config.clients_per_round);
+    controller->agent().SetRewardLog(nullptr);
+    const std::vector<double> curve = PerRoundRewards(rewards, config.clients_per_round);
     if (sum.empty()) {
       sum.assign(curve.size(), 0.0);
     }

@@ -1,12 +1,13 @@
 // Continuous performance harness (DESIGN.md §12).
 //
-// Runs fixed-scale scenarios for four areas and emits one machine-readable
+// Runs fixed-scale scenarios for five areas and emits one machine-readable
 // trajectory file per area:
 //
 //   BENCH_agg.json        reference vs blocked aggregation, all five rules
 //   BENCH_trace.json      repeated trace queries on a timestamp ladder
 //   BENCH_round_loop.json full engine round loops
 //   BENCH_nn.json         dense kernels and an SGD epoch at real-MLP shapes
+//   BENCH_ckpt.json       a supervised chaos-sync run that checkpoints
 //
 // The agg before/after pair and the nn cases are also *checked* here: the
 // blocked variant must produce bit-identical outputs to the reference rule
@@ -18,6 +19,7 @@
 //   --out DIR        directory for the BENCH_*.json files (default ".")
 //   --scale-factor N divide workloads by N for CI smoke runs (default 1)
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -32,10 +34,13 @@
 #include "src/agg/reference.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/core/float_controller.h"
+#include "src/failure/durable_file.h"
 #include "src/fl/real_engine.h"
 #include "src/fl/vfl_engine.h"
 #include "src/nn/mlp.h"
 #include "src/nn/optimizer.h"
+#include "src/recovery/run_supervisor.h"
 #include "src/trace/compute_trace.h"
 #include "src/trace/interference.h"
 #include "src/trace/network_trace.h"
@@ -484,6 +489,90 @@ void BenchNn(std::vector<PerfSample>& out) {
   BenchTrainEpoch(out, Scaled(400));
 }
 
+// ---------------------------------------------------------------------------
+// Area "ckpt": a supervised chaos-sync run (Speech, guard, salvage, lossy
+// transport, admission, a faulty 4-edge tree, FLOAT) that checkpoints every
+// 5 rounds. bytes_moved_mb is every byte serialized into checkpoint archives
+// and guard snapshots, so state that grows with run length moves it on any
+// host.
+// ---------------------------------------------------------------------------
+
+// Counts archive bytes instead of writing them: the wall time measures
+// serialization, not the host's disk.
+class CountingFile : public DurableFile {
+ public:
+  bool Write(const std::string& /*path*/, const std::string& bytes) override {
+    bytes_ += bytes.size();
+    return true;
+  }
+  size_t bytes() const { return bytes_; }
+
+ private:
+  size_t bytes_ = 0;
+};
+
+ExperimentConfig CkptConfig() {
+  ExperimentConfig config;
+  config.dataset = DatasetId::kSpeech;
+  config.model = ModelId::kSpeechCnn;
+  config.num_clients = 60;
+  config.clients_per_round = 12;
+  config.rounds = Scaled(1000);
+  config.seed = 1;
+  config.num_threads = 1;
+  config.faults.crash_prob = 0.15;
+  config.faults.flaky_fraction = 0.2;
+  config.faults.overcommit = 1.5;
+  config.faults.chunk_loss_prob = 0.1;
+  config.faults.max_transfer_retries = 2;
+  config.faults.duplicate_prob = 0.2;
+  config.admission.dedup = true;
+  config.admission.queue_capacity = 24;
+  config.guard.enabled = true;
+  config.salvage.enabled = true;
+  config.topology.num_edges = 4;
+  config.topology.edge_crash_prob = 0.1;
+  return config;
+}
+
+void BenchCkpt(std::vector<PerfSample>& out, const std::string& ring_dir) {
+  const ExperimentConfig config = CkptConfig();
+  RecoveryConfig recovery;
+  recovery.enabled = true;
+  recovery.dir = ring_dir;
+  PerfSample sample;
+  sample.area = "ckpt";
+  sample.case_name = "supervised_chaos_sync";
+  sample.scale = "default";
+  sample.variant = "default";
+  sample.work_units = static_cast<double>(config.rounds);
+  Measure(sample, [&] {
+    const std::unique_ptr<Selector> selector = MakeSelector("fedavg", config);
+    const auto policy = FloatController::MakeDefault(config.seed, config.rounds);
+    SyncEngine engine(config, selector.get(), policy.get());
+    CountingFile file;
+    size_t snapshot_bytes = 0;
+    RunSupervisor<SyncEngine> supervisor(recovery, engine);
+    supervisor.SetDurableFile(&file);
+    supervisor.SetStep([&](SyncEngine& e, size_t round) {
+      e.RunRound(round);
+      // The guard snapshots at most once per round, stamped with it.
+      const SnapshotRing& ring = e.guard().ring();
+      if (!ring.Empty() && ring.FromNewest(0).round == round) {
+        snapshot_bytes += ring.FromNewest(0).blob.size();
+      }
+    });
+    FLOATFL_CHECK(supervisor.Run(config.rounds) == SupervisedOutcome::kCompleted);
+    FLOATFL_CHECK(supervisor.report().checkpoints_written > 0 && snapshot_bytes > 0);
+    sample.sim_seconds = engine.now();
+    sample.bytes_moved_mb = static_cast<double>(file.bytes() + snapshot_bytes) / 1e6;
+  });
+  std::remove(ring_dir.c_str());  // the writer never fills it
+  out.push_back(sample);
+  std::cout << "ckpt/" << sample.case_name << ": " << sample.wall_seconds << "s / "
+            << sample.bytes_moved_mb << " MB serialized\n";
+}
+
 int Main(int argc, char** argv) {
   std::string out_dir = ".";
   for (int i = 1; i < argc; ++i) {
@@ -503,11 +592,12 @@ int Main(int argc, char** argv) {
     std::cout << "note: counting allocator not linked; allocations will read 0\n";
   }
 
-  std::vector<PerfSample> agg, trace, round_loop, nn;
+  std::vector<PerfSample> agg, trace, round_loop, nn, ckpt;
   BenchAgg(agg);
   BenchTrace(trace);
   BenchRoundLoop(round_loop);
   BenchNn(nn);
+  BenchCkpt(ckpt, out_dir + "/ckpt_ring");
 
   const auto write = [&](const char* name, const std::vector<PerfSample>& samples) {
     const std::string path = out_dir + "/" + name;
@@ -521,6 +611,7 @@ int Main(int argc, char** argv) {
   write("BENCH_trace.json", trace);
   write("BENCH_round_loop.json", round_loop);
   write("BENCH_nn.json", nn);
+  write("BENCH_ckpt.json", ckpt);
   return 0;
 }
 

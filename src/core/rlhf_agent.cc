@@ -129,7 +129,7 @@ void RlhfAgent::FeedbackIndexed(size_t state, size_t action, bool participated,
     // cache this (state, action) receives NO training signal at all — the
     // plain-RL ablation learns only from survivors and systematically
     // over-trusts mild actions that quietly fail (Figure 11).
-    reward_history_.push_back(0.0);
+    RecordReward(0.0);
     return;
   }
 
@@ -172,7 +172,7 @@ void RlhfAgent::FeedbackIndexed(size_t state, size_t action, bool participated,
       w_sum;
   const double instant_reward =
       (config_.w_participation * participation_score + config_.w_accuracy * accuracy_score) / w_sum;
-  reward_history_.push_back(instant_reward);
+  RecordReward(instant_reward);
 
   // Bellman update with the paper's gamma->0 adjustment: the successor state
   // is driven by random resource fluctuations, so its contribution is kept
@@ -203,26 +203,40 @@ void RlhfAgent::Feedback(const ClientObservation& client, const GlobalObservatio
   FeedbackIndexed(state, static_cast<size_t>(action), participated, accuracy_improvement, round);
 }
 
+void RlhfAgent::RecordReward(double reward) {
+  if (reward_log_ != nullptr) {
+    reward_log_->push_back(reward);
+  }
+  if (reward_window_.size() < kRewardWindow) {
+    reward_window_.push_back(reward);
+    return;
+  }
+  reward_window_[reward_next_] = reward;
+  reward_next_ = (reward_next_ + 1) % kRewardWindow;
+}
+
 double RlhfAgent::AverageRewardOver(size_t last_n) const {
-  if (reward_history_.empty()) {
+  FLOATFL_CHECK_MSG(last_n <= kRewardWindow, "AverageRewardOver past the reward window");
+  if (reward_window_.empty()) {
     return 0.0;
   }
-  const size_t n = std::min(last_n, reward_history_.size());
+  const size_t n = std::min(last_n, reward_window_.size());
   double sum = 0.0;
-  for (size_t i = reward_history_.size() - n; i < reward_history_.size(); ++i) {
-    sum += reward_history_[i];
+  for (size_t i = reward_window_.size() - n; i < reward_window_.size(); ++i) {
+    sum += HeldReward(i);
   }
   return sum / static_cast<double>(n);
 }
 
 double RlhfAgent::PositiveRewardFraction(size_t last_n) const {
-  if (reward_history_.empty()) {
+  FLOATFL_CHECK_MSG(last_n <= kRewardWindow, "PositiveRewardFraction past the reward window");
+  if (reward_window_.empty()) {
     return 0.0;
   }
-  const size_t n = std::min(last_n, reward_history_.size());
+  const size_t n = std::min(last_n, reward_window_.size());
   size_t positive = 0;
-  for (size_t i = reward_history_.size() - n; i < reward_history_.size(); ++i) {
-    if (reward_history_[i] > 0.0) {
+  for (size_t i = reward_window_.size() - n; i < reward_window_.size(); ++i) {
+    if (HeldReward(i) > 0.0) {
       ++positive;
     }
   }
@@ -244,7 +258,8 @@ void RlhfAgent::InitializeFrom(const RlhfAgent& pretrained) {
   run_action_count_.assign(run_action_count_.size(), 0);
   run_action_success_.assign(run_action_success_.size(), 0.0);
   run_action_accuracy_.assign(run_action_accuracy_.size(), 0.0);
-  reward_history_.clear();
+  reward_window_.clear();
+  reward_next_ = 0;
 }
 
 std::vector<RlhfAgent::ActionSummary> RlhfAgent::SummarizePerAction() const {
@@ -299,7 +314,21 @@ void RlhfAgent::Transfer(Ar& ar, Self& self) {
   ar.U32Vec(self.run_action_count_);
   ar.F64Vec(self.run_action_success_);
   ar.F64Vec(self.run_action_accuracy_);
-  ar.F64Vec(self.reward_history_);
+  // The reward window as an oldest-first F64Vec: the bytes a plain vector of
+  // the held rewards writes. The cursor is not stored; a load lands unwrapped.
+  if constexpr (kLoading<Ar>) {
+    ar.F64Vec(self.reward_window_);
+    self.reward_next_ = 0;
+    if (self.reward_window_.size() > kRewardWindow) {
+      self.reward_window_.clear();
+      ar.Fail();
+    }
+  } else {
+    ar.Size(self.reward_window_.size());
+    for (size_t i = 0; i < self.reward_window_.size(); ++i) {
+      ar.F64(self.HeldReward(i));
+    }
+  }
   ar.Size(self.rejected_rewards_);
   ar.Size(self.rejected_observations_);
 }

@@ -83,12 +83,22 @@ class RlhfAgent {
 
   double LearningRateFor(size_t round) const;
 
-  // Reward diagnostics (Figure 9's convergence curves).
-  const std::vector<double>& RewardHistory() const { return reward_history_; }
+  // Reward diagnostics. The agent keeps the instant rewards of its last
+  // kRewardWindow feedbacks, the largest window any reader asks for, so its
+  // state does not grow with run length.
+  static constexpr size_t kRewardWindow = 1000;
+  // Rewards held: the feedbacks since construction or InitializeFrom, capped
+  // at kRewardWindow.
+  size_t RewardsHeld() const { return reward_window_.size(); }
+  // Mean instant reward of the last `last_n` feedbacks (all held ones when
+  // fewer), summed oldest first. `last_n` must not exceed kRewardWindow.
   double AverageRewardOver(size_t last_n) const;
   // Fraction of the last `last_n` feedbacks with strictly positive reward —
   // the paper's "absolute reward" view of fine-tuning progress.
   double PositiveRewardFraction(size_t last_n) const;
+  // Appends every later instant reward to `log` (null stops): the whole
+  // stream for benches that plot it (Figure 9). Never serialized.
+  void SetRewardLog(std::vector<double>* log) { reward_log_ = log; }
 
   // Boundary-validation counters: non-finite (or absurd-magnitude) rewards
   // and non-finite observation fields are rejected/neutralized at the agent
@@ -133,6 +143,11 @@ class RlhfAgent {
   // Replaces non-finite observation fields with neutral defaults (counted in
   // rejected_observations_) so a poisoned trace cannot derail state encoding.
   ClientObservation SanitizeObservation(const ClientObservation& client);
+  void RecordReward(double reward);
+  // The i-th held reward, oldest first.
+  double HeldReward(size_t i) const {
+    return reward_window_[(reward_next_ + i) % reward_window_.size()];
+  }
 
   StateEncoder encoder_;
   RlhfConfig config_;
@@ -156,7 +171,12 @@ class RlhfAgent {
   std::vector<uint32_t> run_action_count_;
   std::vector<double> run_action_success_;
   std::vector<double> run_action_accuracy_;
-  std::vector<double> reward_history_;
+  // Ring of the last kRewardWindow instant rewards: filled in order, then
+  // overwritten at reward_next_, which is the oldest entry once full (and 0
+  // until then).
+  std::vector<double> reward_window_;
+  size_t reward_next_ = 0;
+  std::vector<double>* reward_log_ = nullptr;
   size_t rejected_rewards_ = 0;
   size_t rejected_observations_ = 0;
 };

@@ -8,17 +8,28 @@
 // and flushes to disk atomically (write temp, rename); the reader validates
 // length on every primitive and latches a failure flag instead of throwing,
 // so a truncated or corrupted checkpoint is reported, never trusted.
+// ArchiveHash is the one hash over archive bytes: the checkpoint header's
+// payload hash and the configuration fingerprints.
 #ifndef SRC_FAILURE_CHECKPOINT_IO_H_
 #define SRC_FAILURE_CHECKPOINT_IO_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace floatfl {
 
 class DurableFile;
+
+// Word-wide hash of archive bytes: four interleaved 64-bit lanes over 8-byte
+// little-endian words (h = rotl(h ^ w, r) * odd), folded with the length and
+// the word and byte tail, then a final avalanche. Each step is a bijection of
+// the running state, so two inputs of one length that differ only inside one
+// 8-byte word always hash differently: every single-bit flip is caught.
+uint64_t ArchiveHash(std::string_view bytes);
 
 class CheckpointWriter {
  public:
@@ -70,6 +81,16 @@ class CheckpointWriter {
   }
 
   const std::string& buffer() const { return buf_; }
+  size_t size() const { return buf_.size(); }
+  // Empties the buffer but keeps its capacity, so a writer reused across
+  // saves of a steady-size state stops reallocating.
+  void Clear() { buf_.clear(); }
+  void Reserve(size_t n) { buf_.reserve(n); }
+  // Hands the bytes over, leaving the writer empty.
+  std::string TakeBuffer() { return std::exchange(buf_, std::string()); }
+  // Overwrites the 8 bytes at `offset`, written earlier by U64 or Size (a
+  // header field filled in once the payload behind it is known).
+  void PatchU64(size_t offset, uint64_t v) { std::memcpy(buf_.data() + offset, &v, sizeof(v)); }
   // Writes cannot fail; lets one field list test ok() in either direction.
   bool ok() const { return true; }
 

@@ -1,5 +1,8 @@
 #include "src/failure/checkpointer.h"
 
+#include <string_view>
+#include <utility>
+
 #include "src/failure/checkpoint_io.h"
 #include "src/failure/durable_file.h"
 #include "src/fl/async_engine.h"
@@ -9,17 +12,6 @@
 
 namespace floatfl {
 namespace {
-
-// FNV-1a over a serialized field buffer: stable across runs and platforms
-// of the same endianness (the archive is raw little-endian on x86/ARM).
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= static_cast<uint64_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void WriteFaultConfig(CheckpointWriter& w, const FaultConfig& f) {
   w.F64(f.crash_prob);
@@ -123,19 +115,26 @@ void WriteTopologyConfig(CheckpointWriter& w, const TopologyConfig& t) {
 
 template <typename Engine>
 bool SaveEngine(const std::string& path, const Engine& engine, Checkpointer::EngineTag tag,
-                DurableFile& io) {
-  // The payload is serialized separately so the header can carry its hash;
-  // Restore verifies the bytes in full before any LoadState touches the
-  // engine.
-  CheckpointWriter payload;
-  engine.SaveState(payload);
-  CheckpointWriter w;
+                DurableFile& io, CheckpointWriter* buffer) {
+  CheckpointWriter local;
+  CheckpointWriter& w = buffer != nullptr ? *buffer : local;
+  w.Clear();
   w.U32(Checkpointer::kMagic);
   w.U32(Checkpointer::kVersion);
   w.U32(static_cast<uint32_t>(tag));
   w.U64(FingerprintConfig(engine.config()));
-  w.U64(Fnv1a(payload.buffer()));
-  w.Str(payload.buffer());
+  // Hash and length are patched once the payload behind them is written;
+  // Restore verifies the bytes in full before any LoadState touches the
+  // engine.
+  const size_t hash_at = w.size();
+  w.U64(0);
+  const size_t length_at = w.size();
+  w.Size(0);
+  const size_t payload_at = w.size();
+  engine.SaveState(w);
+  const size_t length = w.size() - payload_at;
+  w.PatchU64(length_at, length);
+  w.PatchU64(hash_at, ArchiveHash(std::string_view(w.buffer()).substr(payload_at, length)));
   return w.WriteFile(path, io);
 }
 
@@ -156,11 +155,11 @@ bool RestoreEngine(const std::string& path, Engine& engine, Checkpointer::Engine
   // bit-flipped archive is refused with the engine untouched, never loaded
   // partway.
   const uint64_t payload_hash = r.U64();
-  const std::string payload = r.Str();
-  if (!r.ok() || !r.AtEnd() || Fnv1a(payload) != payload_hash) {
+  std::string payload = r.Str();
+  if (!r.ok() || !r.AtEnd() || ArchiveHash(payload) != payload_hash) {
     return false;
   }
-  CheckpointReader pr(payload);
+  CheckpointReader pr(std::move(payload));
   engine.LoadState(pr);
   return pr.ok() && pr.AtEnd();
 }
@@ -193,7 +192,7 @@ uint64_t FingerprintConfig(const ExperimentConfig& config) {
   WriteTopologyConfig(w, config.topology);
   WriteAdmissionConfig(w, config.admission);
   WriteSalvageConfig(w, config.salvage);
-  return Fnv1a(w.buffer());
+  return ArchiveHash(w.buffer());
 }
 
 uint64_t FingerprintConfig(const RealFlConfig& config) {
@@ -218,7 +217,7 @@ uint64_t FingerprintConfig(const RealFlConfig& config) {
   WriteTopologyConfig(w, config.topology);
   WriteAdmissionConfig(w, config.admission);
   WriteSalvageConfig(w, config.salvage);
-  return Fnv1a(w.buffer());
+  return ArchiveHash(w.buffer());
 }
 
 uint64_t FingerprintConfig(const VflConfig& config) {
@@ -235,33 +234,24 @@ uint64_t FingerprintConfig(const VflConfig& config) {
   w.U64(config.seed);
   WriteFaultConfig(w, config.faults);
   WriteGuardConfig(w, config.guard);
-  return Fnv1a(w.buffer());
+  return ArchiveHash(w.buffer());
 }
 
-bool Checkpointer::Save(const std::string& path, const SyncEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kSync, DefaultDurableFile());
+bool Checkpointer::Save(const std::string& path, const SyncEngine& engine, DurableFile& io,
+                        CheckpointWriter* buffer) {
+  return SaveEngine(path, engine, EngineTag::kSync, io, buffer);
 }
-bool Checkpointer::Save(const std::string& path, const AsyncEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kAsync, DefaultDurableFile());
+bool Checkpointer::Save(const std::string& path, const AsyncEngine& engine, DurableFile& io,
+                        CheckpointWriter* buffer) {
+  return SaveEngine(path, engine, EngineTag::kAsync, io, buffer);
 }
-bool Checkpointer::Save(const std::string& path, const RealFlEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kReal, DefaultDurableFile());
+bool Checkpointer::Save(const std::string& path, const RealFlEngine& engine, DurableFile& io,
+                        CheckpointWriter* buffer) {
+  return SaveEngine(path, engine, EngineTag::kReal, io, buffer);
 }
-bool Checkpointer::Save(const std::string& path, const VflEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kVfl, DefaultDurableFile());
-}
-
-bool Checkpointer::Save(const std::string& path, const SyncEngine& engine, DurableFile& io) {
-  return SaveEngine(path, engine, EngineTag::kSync, io);
-}
-bool Checkpointer::Save(const std::string& path, const AsyncEngine& engine, DurableFile& io) {
-  return SaveEngine(path, engine, EngineTag::kAsync, io);
-}
-bool Checkpointer::Save(const std::string& path, const RealFlEngine& engine, DurableFile& io) {
-  return SaveEngine(path, engine, EngineTag::kReal, io);
-}
-bool Checkpointer::Save(const std::string& path, const VflEngine& engine, DurableFile& io) {
-  return SaveEngine(path, engine, EngineTag::kVfl, io);
+bool Checkpointer::Save(const std::string& path, const VflEngine& engine, DurableFile& io,
+                        CheckpointWriter* buffer) {
+  return SaveEngine(path, engine, EngineTag::kVfl, io, buffer);
 }
 
 bool Checkpointer::Restore(const std::string& path, SyncEngine& engine) {

@@ -1,7 +1,7 @@
 // Versioned whole-engine checkpoints (DESIGN.md §8).
 //
 // A checkpoint file is a small header — magic, format version, engine tag,
-// a fingerprint of the engine's configuration, and an FNV-1a hash of the
+// a fingerprint of the engine's configuration, and an ArchiveHash of the
 // payload — followed by the engine's own SaveState payload as one
 // length-prefixed blob. Restore refuses (returns false) on a bad magic,
 // unknown version, wrong engine type, mismatched configuration fingerprint,
@@ -17,9 +17,11 @@
 #include <cstdint>
 #include <string>
 
+#include "src/failure/durable_file.h"
+
 namespace floatfl {
 
-class DurableFile;
+class CheckpointWriter;
 class SyncEngine;
 class AsyncEngine;
 class RealFlEngine;
@@ -69,24 +71,29 @@ class Checkpointer {
   // outcomes. v10: both sync and async payloads write the dropout breakdown
   // through DropoutBreakdown::SaveState, one counter per reason in enum
   // order, so the async payload gained the edge_orphaned counter it used to
-  // omit. Older checkpoints are refused (the version field mismatches).
-  static constexpr uint32_t kVersion = 10;
+  // omit. v11: the payload hash and the configuration fingerprints became
+  // ArchiveHash (word-wide) instead of byte-serial FNV-1a, and the RLHF
+  // agent's reward history became its last RlhfAgent::kRewardWindow
+  // rewards. Older checkpoints are refused (the version field mismatches).
+  static constexpr uint32_t kVersion = 11;
   enum class EngineTag : uint32_t { kSync = 1, kAsync = 2, kReal = 3, kVfl = 4 };
 
-  // Crash-consistent save (fsync'd temp file + rename). Returns false on
-  // I/O failure — including an empty/unwritable/directory path — and never
-  // crashes the caller.
-  static bool Save(const std::string& path, const SyncEngine& engine);
-  static bool Save(const std::string& path, const AsyncEngine& engine);
-  static bool Save(const std::string& path, const RealFlEngine& engine);
-  static bool Save(const std::string& path, const VflEngine& engine);
-
-  // Same, writing through an injectable DurableFile (fault injection, custom
-  // storage). The default overloads above use the process-wide fsync'd one.
-  static bool Save(const std::string& path, const SyncEngine& engine, DurableFile& io);
-  static bool Save(const std::string& path, const AsyncEngine& engine, DurableFile& io);
-  static bool Save(const std::string& path, const RealFlEngine& engine, DurableFile& io);
-  static bool Save(const std::string& path, const VflEngine& engine, DurableFile& io);
+  // Crash-consistent save (fsync'd temp file + rename) through `io`, the
+  // process-wide fsync'd writer unless a test or custom storage injects
+  // one. Returns false on I/O failure — including an empty/unwritable/
+  // directory path — and never crashes the caller. The archive is built in
+  // one pass: the header with placeholder hash and length, the payload
+  // straight behind it, then both fields patched in place. `buffer`, when
+  // given, is that archive's storage: a caller that saves repeatedly keeps
+  // one and the steady-state save reuses its capacity.
+  static bool Save(const std::string& path, const SyncEngine& engine,
+                   DurableFile& io = DefaultDurableFile(), CheckpointWriter* buffer = nullptr);
+  static bool Save(const std::string& path, const AsyncEngine& engine,
+                   DurableFile& io = DefaultDurableFile(), CheckpointWriter* buffer = nullptr);
+  static bool Save(const std::string& path, const RealFlEngine& engine,
+                   DurableFile& io = DefaultDurableFile(), CheckpointWriter* buffer = nullptr);
+  static bool Save(const std::string& path, const VflEngine& engine,
+                   DurableFile& io = DefaultDurableFile(), CheckpointWriter* buffer = nullptr);
 
   // Restores into an engine freshly constructed with the *same* config the
   // checkpoint was taken under. Returns false on header mismatch or a

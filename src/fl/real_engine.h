@@ -134,6 +134,10 @@ struct RealRoundStats {
   // layer off and no overload faults. redundant_upload_mb is the wire volume
   // of duplicate/replay deliveries the server fully re-processed this round
   // (zero when the admission gate turned them away at the doorstep).
+  // Scopes differ: admitted, deduplicated, shed, rate_limited,
+  // replay_rejected and redundant_upload_mb cover only this round's upload
+  // burst, not the salvaged-partial burst that AdmissionTracker also counts;
+  // peak_queue_depth is the tracker's run-wide maximum, not this round's.
   size_t admitted = 0;
   size_t deduplicated = 0;
   size_t shed = 0;

@@ -71,9 +71,12 @@ bool TrainingGuard::EndRound(size_t round, const HealthSignal& health, const Sav
     // lost in the aggregation tree) are likewise never ring candidates.
     if (health.metric >= watchdog_.Best() && round >= next_snapshot_round_ &&
         health.coverage >= config_.min_snapshot_coverage) {
+      // Snapshots of one engine keep a near-constant size: reserve the last
+      // one's, then move the bytes into the ring.
       CheckpointWriter w;
+      w.Reserve(ring_.Empty() ? 0 : ring_.FromNewest(0).blob.size());
       save(w);
-      ring_.Push(round, health.metric, w.buffer());
+      ring_.Push(round, health.metric, w.TakeBuffer());
       next_snapshot_round_ = round + config_.snapshot_every;
       tracker_.RecordSnapshot();
     }

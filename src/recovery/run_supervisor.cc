@@ -106,7 +106,7 @@ bool RunSupervisor<Engine>::SaveRingCheckpoint(size_t rounds_done) {
   if (plan_ != nullptr) {
     faulty_io_.Arm(rounds_done);
   }
-  const bool saved = Checkpointer::Save(ring_.PathFor(rounds_done), engine_, io);
+  const bool saved = Checkpointer::Save(ring_.PathFor(rounds_done), engine_, io, &save_buffer_);
   if (plan_ != nullptr && faulty_io_.crashed()) {
     return false;
   }

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "src/failure/checkpoint_io.h"
 #include "src/failure/durable_file.h"
 #include "src/recovery/checkpoint_ring.h"
 #include "src/recovery/crash_plan.h"
@@ -109,6 +110,9 @@ class RunSupervisor {
   DurableFile* io_ = nullptr;
   CrashPlan* plan_ = nullptr;
   FaultyDurableFile faulty_io_{nullptr};
+  // Archive storage reused by every save of this life: a steady-size engine
+  // state is serialized without growing a buffer from empty each time.
+  CheckpointWriter save_buffer_;
   RecoveryReport report_;
 };
 

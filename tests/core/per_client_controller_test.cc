@@ -19,8 +19,8 @@ TEST(PerClientControllerTest, MaintainsOneAgentPerClient) {
   for (int i = 0; i < 50; ++i) {
     controller->Report(3, obs, global, TechniqueKind::kPrune75, true, 0.01);
   }
-  EXPECT_GT(controller->agent(3).RewardHistory().size(), 0u);
-  EXPECT_EQ(controller->agent(4).RewardHistory().size(), 0u);
+  EXPECT_GT(controller->agent(3).RewardsHeld(), 0u);
+  EXPECT_EQ(controller->agent(4).RewardsHeld(), 0u);
 }
 
 TEST(PerClientControllerTest, AgentsLearnIndependently) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/failure/checkpoint_io.h"
+#include "src/guard/training_guard.h"
 
 namespace floatfl {
 namespace {
@@ -96,7 +101,7 @@ TEST(RlhfAgentTest, RewardHistoryAndAverages) {
   RlhfAgent agent(SmallEncoder(), FastConfig(11));
   agent.FeedbackIndexed(0, 0, true, 0.01, 1);
   agent.FeedbackIndexed(0, 1, false, 0.0, 1);
-  EXPECT_EQ(agent.RewardHistory().size(), 2u);
+  EXPECT_EQ(agent.RewardsHeld(), 2u);
   EXPECT_GT(agent.AverageRewardOver(2), 0.0);
   EXPECT_LT(agent.AverageRewardOver(2), 1.0);
   EXPECT_NEAR(agent.PositiveRewardFraction(2), 0.5, 1e-9);
@@ -131,7 +136,7 @@ TEST(RlhfAgentTest, InitializeFromTransfersLearnedPreferences) {
   RlhfAgent student(SmallEncoder(), FastConfig(16));
   student.InitializeFrom(teacher);
   EXPECT_EQ(student.table().BestAction(42), teacher.table().BestAction(42));
-  EXPECT_TRUE(student.RewardHistory().empty());
+  EXPECT_TRUE(student.RewardsHeld() == 0u);
 }
 
 TEST(RlhfAgentTest, BalancedExplorationVisitsAllActions) {
@@ -187,7 +192,7 @@ TEST(RlhfAgentTest, NonFiniteRewardIsRejectedInsteadOfPoisoningTheTable) {
   agent.FeedbackIndexed(4, 1, true, 0.02, 4);
   EXPECT_TRUE(std::isfinite(agent.table().Q(4, 1)));
   EXPECT_GT(agent.table().Q(4, 1), 0.0);
-  EXPECT_GT(agent.RewardHistory().back(), 0.0);
+  EXPECT_GT(agent.AverageRewardOver(1), 0.0);
 }
 
 TEST(RlhfAgentTest, AbsurdMagnitudeRewardIsRejected) {
@@ -197,7 +202,7 @@ TEST(RlhfAgentTest, AbsurdMagnitudeRewardIsRejected) {
   agent.FeedbackIndexed(0, 0, true, 1e9, 1);
   EXPECT_EQ(agent.RejectedRewards(), 1u);
   agent.FeedbackIndexed(0, 0, true, 0.01, 2);
-  EXPECT_GT(agent.RewardHistory().back(), 0.0);
+  EXPECT_GT(agent.AverageRewardOver(1), 0.0);
 }
 
 TEST(RlhfAgentTest, NonFiniteObservationFieldsAreSanitizedAndCounted) {
@@ -246,6 +251,157 @@ TEST(RlhfAgentTest, SummarizePerActionTalliesRunOutcomes) {
   EXPECT_EQ(summaries[2].visits, 3u);
   EXPECT_NEAR(summaries[2].avg_participation, 2.0 / 3.0, 1e-9);
   EXPECT_EQ(summaries[0].visits, 0u);
+}
+
+// The reward window against a plain full-stream oracle: the last n entries of
+// every reward the agent ever recorded, summed oldest first, exactly as the
+// agent computed them before it bounded its history.
+double OracleAverage(const std::vector<double>& all, size_t last_n) {
+  const size_t n = std::min(last_n, all.size());
+  if (n == 0) {
+    return 0.0;
+  }
+  double sum = 0.0;
+  for (size_t i = all.size() - n; i < all.size(); ++i) {
+    sum += all[i];
+  }
+  return sum / static_cast<double>(n);
+}
+
+double OraclePositiveFraction(const std::vector<double>& all, size_t last_n) {
+  const size_t n = std::min(last_n, all.size());
+  if (n == 0) {
+    return 0.0;
+  }
+  size_t positive = 0;
+  for (size_t i = all.size() - n; i < all.size(); ++i) {
+    positive += all[i] > 0.0 ? 1 : 0;
+  }
+  return static_cast<double>(positive) / static_cast<double>(n);
+}
+
+void ExpectWindowsMatch(const RlhfAgent& agent, const std::vector<double>& all) {
+  EXPECT_EQ(agent.RewardsHeld(), std::min(all.size(), RlhfAgent::kRewardWindow));
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{50}, size_t{600}, size_t{1000}}) {
+    EXPECT_EQ(agent.AverageRewardOver(n), OracleAverage(all, n)) << "window " << n;
+    EXPECT_EQ(agent.PositiveRewardFraction(n), OraclePositiveFraction(all, n)) << "window " << n;
+  }
+}
+
+// Random feedbacks; about a third are dropouts, some of which earn a zero
+// reward (no cached feedback for their cell yet).
+void Feed(RlhfAgent& agent, Rng& rng, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    const size_t state = static_cast<size_t>(rng.UniformInt(agent.NumStates()));
+    const size_t action = static_cast<size_t>(rng.UniformInt(agent.NumActions()));
+    const bool participated = rng.NextDouble() < 0.65;
+    agent.FeedbackIndexed(state, action, participated, 0.05 * rng.NextDouble(), i / 20);
+  }
+}
+
+std::string Saved(const RlhfAgent& agent) {
+  CheckpointWriter w;
+  agent.SaveState(w);
+  return w.buffer();
+}
+
+TEST(RlhfAgentTest, RewardWindowMatchesTheFullStreamOracle) {
+  RlhfAgent agent(SmallEncoder(), FastConfig(41));
+  std::vector<double> all;
+  agent.SetRewardLog(&all);
+  Rng rng(41);
+  ExpectWindowsMatch(agent, all);
+  // Before the ring fills, exactly full, one past, and deep into wrapping.
+  size_t fed = 0;
+  for (const size_t at : {size_t{1}, size_t{999}, size_t{1000}, size_t{1001}, size_t{2500}}) {
+    Feed(agent, rng, at - fed);
+    fed = at;
+    ASSERT_EQ(all.size(), fed);
+    SCOPED_TRACE("after " + std::to_string(fed) + " feedbacks");
+    ExpectWindowsMatch(agent, all);
+  }
+  EXPECT_GT(OraclePositiveFraction(all, 1000), 0.0);
+  EXPECT_LT(OraclePositiveFraction(all, 1000), 1.0);
+}
+
+TEST(RlhfAgentTest, RewardWindowSurvivesASaveLoadMidWrap) {
+  RlhfAgent agent(SmallEncoder(), FastConfig(42));
+  std::vector<double> all;
+  agent.SetRewardLog(&all);
+  Rng rng(42);
+  Feed(agent, rng, 2500);  // the ring's cursor sits mid-buffer
+  const std::string payload = Saved(agent);
+
+  RlhfAgent loaded(SmallEncoder(), FastConfig(43));
+  CheckpointReader r(payload);
+  loaded.LoadState(r);
+  ASSERT_TRUE(r.AtEnd());
+  ExpectWindowsMatch(loaded, all);
+  EXPECT_EQ(Saved(loaded), payload);
+
+  // Both keep wrapping in step with the oracle.
+  Rng rng_copy = rng;
+  Feed(agent, rng, 700);
+  Feed(loaded, rng_copy, 700);
+  ExpectWindowsMatch(loaded, all);
+  EXPECT_EQ(Saved(loaded), Saved(agent));
+}
+
+// A payload whose reward window holds `n` rewards of 0.25, built around an
+// empty agent's payload (the window's count is its third-last word, before
+// the two rejection counters).
+std::string PayloadWithWindow(size_t n) {
+  RlhfAgent empty(SmallEncoder(), FastConfig(44));
+  const std::string base = Saved(empty);
+  EXPECT_EQ(base.substr(base.size() - 24, 8), std::string(8, '\0'));
+  CheckpointWriter window;
+  window.Size(n);
+  for (size_t i = 0; i < n; ++i) {
+    window.F64(0.25);
+  }
+  return base.substr(0, base.size() - 24) + window.buffer() + base.substr(base.size() - 16);
+}
+
+TEST(RlhfAgentTest, LoaderRefusesARewardWindowPastKRewardWindow) {
+  RlhfAgent full(SmallEncoder(), FastConfig(45));
+  CheckpointReader ok_reader(PayloadWithWindow(RlhfAgent::kRewardWindow));
+  full.LoadState(ok_reader);
+  EXPECT_TRUE(ok_reader.AtEnd());
+  EXPECT_EQ(full.RewardsHeld(), RlhfAgent::kRewardWindow);
+  EXPECT_EQ(full.AverageRewardOver(1000), 0.25);
+  // The cursor is not stored: a full window loads unwrapped and the next
+  // reward evicts the oldest.
+  std::vector<double> all(RlhfAgent::kRewardWindow, 0.25);
+  full.SetRewardLog(&all);
+  Rng rng(45);
+  Feed(full, rng, 3);
+  ExpectWindowsMatch(full, all);
+
+  RlhfAgent refused(SmallEncoder(), FastConfig(46));
+  CheckpointReader long_reader(PayloadWithWindow(RlhfAgent::kRewardWindow + 1));
+  refused.LoadState(long_reader);
+  EXPECT_FALSE(long_reader.ok());
+  EXPECT_EQ(refused.RewardsHeld(), 0u);
+}
+
+TEST(RlhfAgentTest, GuardRollbackRewindsTheRewardWindow) {
+  RlhfAgent agent(SmallEncoder(), FastConfig(47));
+  std::vector<double> all;
+  agent.SetRewardLog(&all);
+  Rng rng(47);
+  GuardConfig config;
+  config.enabled = true;
+  TrainingGuard guard(config);
+  const TrainingGuard::SaveFn save = [&](CheckpointWriter& w) { agent.SaveState(w); };
+  const TrainingGuard::RestoreFn restore = [&](CheckpointReader& r) { agent.LoadState(r); };
+
+  Feed(agent, rng, 1200);
+  ASSERT_FALSE(guard.EndRound(0, {0.5, 0.0}, save, restore));
+  ASSERT_EQ(guard.tracker().Snapshots(), 1u);
+  const std::vector<double> at_snapshot = all;
+  Feed(agent, rng, 700);
+  ASSERT_TRUE(guard.EndRound(1, {0.2, 0.0}, save, restore));  // collapse
+  ExpectWindowsMatch(agent, at_snapshot);
 }
 
 }  // namespace

@@ -129,6 +129,28 @@ TEST(PayloadGoldenTest, SyncChaos) {
   ExpectRoundTrip(payload, fresh);
 }
 
+// Engine state does not grow with run length: the chaos sync payload (seed
+// 1, 1,000 rounds) at round 1000 stays within 10 % of its size at round 200.
+// An append-only history in any component breaks this.
+TEST(PayloadGoldenTest, SyncChaosPayloadStaysFlat) {
+  ExperimentConfig config = ChaosSync();
+  config.seed = 1;
+  config.rounds = 1000;
+  RandomSelector selector(config.seed);
+  auto policy = FloatController::MakeDefault(config.seed, config.rounds);
+  SyncEngine engine(config, &selector, policy.get());
+  size_t at_200 = 0;
+  for (size_t round = 0; round < config.rounds; ++round) {
+    engine.RunRound(round);
+    if (round + 1 == 200) {
+      at_200 = Payload(engine).size();
+    }
+  }
+  const size_t at_1000 = Payload(engine).size();
+  EXPECT_GT(engine.Snapshot().guard_snapshots, 0u);
+  EXPECT_LE(at_1000, at_200 + at_200 / 10) << "round 200: " << at_200 << " B";
+}
+
 TEST(PayloadGoldenTest, AsyncFedBuffStorm) {
   ExperimentConfig config;
   config.num_clients = 50;

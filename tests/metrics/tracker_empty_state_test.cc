@@ -287,9 +287,9 @@ TEST(TrackerEmptyStateTest, SalvageTrackerAccumulatedStateRoundTrips) {
 
 TEST(TrackerEmptyStateTest, CheckpointFormatV10RefusesV9Archives) {
   // The shared dropout-breakdown block gave the async payload one more
-  // counter, so the checkpoint format is v10 and a v9 archive (same magic,
-  // older layout) must be refused instead of misparsed.
-  ASSERT_EQ(Checkpointer::kVersion, 10u);
+  // counter, so the checkpoint format became v10 and a v9 archive (same
+  // magic, older layout) must be refused instead of misparsed.
+  ASSERT_EQ(Checkpointer::kVersion, 11u);
   const std::string path = testing::TempDir() + "/v9_refusal.ckpt";
 
   ExperimentConfig config;
@@ -346,15 +346,6 @@ ExperimentConfig SmallAsyncConfig() {
   return config;
 }
 
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= static_cast<uint64_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Writes a well-formed archive (correct magic, tag, fingerprint and payload
 // hash) around `payload`, labelled with `version`.
 void WriteAsyncArchive(const std::string& path, const AsyncEngine& engine, uint32_t version,
@@ -364,13 +355,13 @@ void WriteAsyncArchive(const std::string& path, const AsyncEngine& engine, uint3
   w.U32(version);
   w.U32(static_cast<uint32_t>(Checkpointer::EngineTag::kAsync));
   w.U64(FingerprintConfig(engine.config()));
-  w.U64(Fnv1a(payload));
+  w.U64(ArchiveHash(payload));
   w.Str(payload);
   ASSERT_TRUE(w.WriteFile(path));
 }
 
 TEST(TrackerEmptyStateTest, AsyncCheckpointV10RefusesV9Archives) {
-  ASSERT_EQ(Checkpointer::kVersion, 10u);
+  ASSERT_EQ(Checkpointer::kVersion, 11u);
   const std::string path = testing::TempDir() + "/async_v9_refusal.ckpt";
   const ExperimentConfig config = SmallAsyncConfig();
   AsyncEngine engine(config, nullptr);
@@ -387,6 +378,28 @@ TEST(TrackerEmptyStateTest, AsyncCheckpointV10RefusesV9Archives) {
   WriteAsyncArchive(path, engine, 9, payload.buffer());
   AsyncEngine v9_target(config, nullptr);
   EXPECT_FALSE(Checkpointer::Restore(path, v9_target));
+  std::remove(path.c_str());
+}
+
+// v11 changed the header hash to ArchiveHash and bounded the reward
+// window, so an archive labelled v10 is refused even when everything else
+// about it (magic, tag, fingerprint, payload hash) is valid today.
+TEST(TrackerEmptyStateTest, CheckpointFormatV11RefusesV10Archives) {
+  ASSERT_EQ(Checkpointer::kVersion, 11u);
+  const std::string path = testing::TempDir() + "/async_v10_refusal.ckpt";
+  const ExperimentConfig config = SmallAsyncConfig();
+  AsyncEngine engine(config, nullptr);
+  engine.RunUntil(2);
+  CheckpointWriter payload;
+  engine.SaveState(payload);
+
+  WriteAsyncArchive(path, engine, Checkpointer::kVersion, payload.buffer());
+  AsyncEngine restored(config, nullptr);
+  EXPECT_TRUE(Checkpointer::Restore(path, restored));
+
+  WriteAsyncArchive(path, engine, 10, payload.buffer());
+  AsyncEngine v10_target(config, nullptr);
+  EXPECT_FALSE(Checkpointer::Restore(path, v10_target));
   std::remove(path.c_str());
 }
 

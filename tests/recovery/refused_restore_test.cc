@@ -22,15 +22,6 @@ namespace {
 
 std::string TempPath(const std::string& name) { return testing::TempDir() + "/" + name; }
 
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 ExperimentConfig SmallSync(size_t num_clients) {
   ExperimentConfig config;
   config.num_clients = num_clients;
@@ -53,7 +44,7 @@ void WriteArchiveFor(const std::string& path, const SyncEngine& engine,
   w.U32(Checkpointer::kVersion);
   w.U32(static_cast<uint32_t>(Checkpointer::EngineTag::kSync));
   w.U64(FingerprintConfig(target.config()));
-  w.U64(Fnv1a(payload.buffer()));
+  w.U64(ArchiveHash(payload.buffer()));
   w.Str(payload.buffer());
   ASSERT_TRUE(w.WriteFile(path));
 }

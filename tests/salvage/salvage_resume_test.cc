@@ -65,7 +65,7 @@ void ExpectIdenticalFinalState(const ExperimentResult& expected, const Experimen
 TEST(SalvageResumeTest, SyncFiftyPlusFiftyIsBitExact) {
   const ExperimentConfig config = ArmedConfig();
   const std::string path = TempPath("salvage_sync_resume.ckpt");
-  ASSERT_EQ(Checkpointer::kVersion, 10u);
+  ASSERT_EQ(Checkpointer::kVersion, 11u);
 
   RandomSelector full_sel(config.seed);
   StaticPolicy full_pol(TechniqueKind::kQuant8);
