@@ -5,8 +5,9 @@
 // Two workloads:
 //  * a 100-client synchronous trace-driven round (the paper-scale
 //    simulation hot loop), and
-//  * a real-training round (per-client SGD on MLPs — the compute-bound
-//    path where parallelism pays most).
+//  * a real-training round with FLOAT attached (per-client SGD on MLPs —
+//    the compute-bound path where parallelism pays most — plus the policy
+//    path's cached round-start accuracy and row-parallel test-set pass).
 //
 // Determinism is asserted on the fly: every thread count must produce the
 // same round-accuracy as the num_threads=1 baseline, so this bench doubles
@@ -36,7 +37,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr size_t kSyncRounds = 30;
-constexpr size_t kRealRounds = 3;
+constexpr size_t kRealRounds = 20;
 
 struct Measurement {
   double seconds = 0.0;
@@ -70,11 +71,13 @@ Measurement MeasureReal(size_t num_threads) {
   config.sgd.epochs = 2;
   config.seed = 42;
   config.num_threads = num_threads;
+  const auto policy = FloatController::MakeDefault(config.seed, kRealRounds);
   RealFlEngine engine(config);
+  engine.AttachPolicy(policy.get());
   const auto start = Clock::now();
   RealRoundStats stats;
   for (size_t round = 0; round < kRealRounds; ++round) {
-    stats = engine.RunRound(TechniqueKind::kNone);
+    stats = engine.RunRoundWithPolicy();
   }
   const auto stop = Clock::now();
   Measurement m;

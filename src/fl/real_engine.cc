@@ -243,8 +243,13 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     tree_.BeginRound(round, edge_decisions);
   }
   // Round-start test accuracy, the baseline for the policy's accuracy
-  // credit. Only evaluated when someone consumes the credit.
-  const double accuracy_before = report ? EvaluateAccuracy() : 0.0;
+  // credit. Only needed when someone consumes the credit, and reused from
+  // the last round's end when the parameters have not changed since.
+  double accuracy_before = 0.0;
+  if (report) {
+    accuracy_before = round_end_accuracy_ ? *round_end_accuracy_ : EvaluateAccuracy();
+  }
+  round_end_accuracy_.reset();
 
   // Phase 1 (sequential): technique choices — the callback may be stateful —
   // and fault draws (each from its own (round, client)-keyed stream). The
@@ -689,8 +694,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   stats.participants = original_accepted;
   stats.mean_upload_bytes = original_accepted == 0 ? 0.0 : total_bytes / original_accepted;
   stats.mean_update_error = original_accepted == 0 ? 0.0 : total_error / original_accepted;
-  stats.test_accuracy = EvaluateAccuracy();
-  stats.test_loss = EvaluateLoss();
+  Mlp::Evaluation eval = global_->Evaluate(test_inputs_, test_labels_, pool_.get());
+  stats.test_accuracy = eval.accuracy;
+  stats.test_loss = eval.loss;
 
   // Policy feedback: every selected client reports, dropouts included, with
   // the round's test-accuracy delta scaled by its technique's quality.
@@ -719,10 +725,12 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     const bool rolled_back = guard_.EndRound(round, health, learning, learning);
     if (rolled_back) {
       stats.rolled_back = true;
-      stats.test_accuracy = EvaluateAccuracy();
-      stats.test_loss = EvaluateLoss();
+      eval = global_->Evaluate(test_inputs_, test_labels_, pool_.get());
+      stats.test_accuracy = eval.accuracy;
+      stats.test_loss = eval.loss;
     }
   }
+  round_end_accuracy_ = stats.test_accuracy;
   return stats;
 }
 
@@ -747,17 +755,23 @@ RealRoundStats RealFlEngine::RunRoundWithPolicy() {
       });
 }
 
-double RealFlEngine::EvaluateAccuracy() {
-  return global_->EvaluateAccuracy(test_inputs_, test_labels_);
+double RealFlEngine::EvaluateAccuracy() const {
+  return global_->Evaluate(test_inputs_, test_labels_, pool_.get()).accuracy;
 }
 
-double RealFlEngine::EvaluateLoss() { return global_->EvaluateLoss(test_inputs_, test_labels_); }
+double RealFlEngine::EvaluateLoss() const {
+  return global_->Evaluate(test_inputs_, test_labels_, pool_.get()).loss;
+}
 
 // The global model's parameters: a checked count, then the values, installed
-// on load only when the count matched.
+// on load only when the count matched. Loading drops the cached round-end
+// accuracy (LoadState and guard rollbacks both come through here).
 template <class Ar, class Self>
 void RealFlEngine::TransferParams(Ar& ar, Self& self) {
   std::vector<float> params = self.global_->GetParameters();
+  if constexpr (kLoading<Ar>) {
+    self.round_end_accuracy_.reset();
+  }
   if (FixedF32Vec(ar, params)) {
     if constexpr (kLoading<Ar>) {
       self.global_->SetParameters(params);

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/admission/admission_config.h"
@@ -177,8 +178,10 @@ class RealFlEngine {
   void AttachPolicy(TuningPolicy* policy) { policy_ = policy; }
   RealRoundStats RunRoundWithPolicy();
 
-  double EvaluateAccuracy();
-  double EvaluateLoss();
+  // Test-set metrics of the global model, each from one forward pass that
+  // fans its row blocks out over the engine's pool (Mlp::Evaluate).
+  double EvaluateAccuracy() const;
+  double EvaluateLoss() const;
 
   size_t NumClients() const { return shards_.size(); }
   const Mlp& global_model() const { return *global_; }
@@ -285,6 +288,11 @@ class RealFlEngine {
   // resolves to 1 (fully sequential path).
   std::unique_ptr<ThreadPool> pool_;
   size_t rounds_run_ = 0;
+  // Test accuracy of the global parameters as the last round left them: the
+  // next policy round's baseline, so it costs no second forward pass. Not
+  // serialized; empty until a round ends and whenever the parameters are
+  // loaded, which then re-evaluates it.
+  std::optional<double> round_end_accuracy_;
   std::unique_ptr<SyntheticTaskData> task_;
   std::vector<ClientShard> shards_;
   std::vector<Tensor> client_inputs_;

@@ -7,6 +7,15 @@
 #include "src/common/rng.h"
 
 namespace floatfl {
+namespace {
+
+void ReluInPlace(Tensor& t) {
+  for (auto& x : t.flat()) {
+    x = std::max(x, 0.0f);
+  }
+}
+
+}  // namespace
 
 DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, bool relu, Rng& rng)
     : weights_(Tensor::GlorotUniform(in_dim, out_dim, rng)),
@@ -32,11 +41,18 @@ const Tensor& DenseLayer::Forward(const Tensor& input) {
   last_pre_activation_.AddRowBroadcast(bias_);
   output_ = last_pre_activation_;
   if (relu_) {
-    for (auto& x : output_.flat()) {
-      x = std::max(x, 0.0f);
-    }
+    ReluInPlace(output_);
   }
   return output_;
+}
+
+void DenseLayer::Infer(const Tensor& input, Tensor* out) const {
+  FLOATFL_CHECK(input.cols() == weights_.rows());
+  input.MatMulInto(weights_, out);
+  out->AddRowBroadcast(bias_);
+  if (relu_) {
+    ReluInPlace(*out);
+  }
 }
 
 const Tensor& DenseLayer::Backward(const Tensor& grad_output) {
@@ -74,27 +90,41 @@ void DenseLayer::Step(float lr, bool frozen) {
 double SoftmaxXent::Loss(const Tensor& logits, const std::vector<int>& labels, Tensor* probs) {
   FLOATFL_CHECK(logits.rows() == labels.size());
   FLOATFL_CHECK(probs != nullptr);
-  *probs = logits;
+  const size_t cols = logits.cols();
+  probs->Reset(logits.rows(), cols);
   double total = 0.0;
   for (size_t i = 0; i < logits.rows(); ++i) {
-    float maxv = logits.At(i, 0);
-    for (size_t j = 1; j < logits.cols(); ++j) {
-      maxv = std::max(maxv, logits.At(i, j));
-    }
-    double sum = 0.0;
-    for (size_t j = 0; j < logits.cols(); ++j) {
-      const double e = std::exp(static_cast<double>(logits.At(i, j) - maxv));
-      probs->At(i, j) = static_cast<float>(e);
-      sum += e;
-    }
-    for (size_t j = 0; j < logits.cols(); ++j) {
-      probs->At(i, j) = static_cast<float>(probs->At(i, j) / sum);
-    }
-    const int y = labels[i];
-    FLOATFL_CHECK(y >= 0 && static_cast<size_t>(y) < logits.cols());
-    total += -std::log(std::max(1e-12, static_cast<double>(probs->At(i, y))));
+    total += RowLoss(logits.data() + i * cols, cols, labels[i], probs->data() + i * cols);
   }
   return total / static_cast<double>(logits.rows());
+}
+
+double SoftmaxXent::RowLoss(const float* logits, size_t cols, int label, float* probs) {
+  FLOATFL_CHECK(label >= 0 && static_cast<size_t>(label) < cols);
+  float maxv = logits[0];
+  for (size_t j = 1; j < cols; ++j) {
+    maxv = std::max(maxv, logits[j]);
+  }
+  double sum = 0.0;
+  for (size_t j = 0; j < cols; ++j) {
+    const double e = std::exp(static_cast<double>(logits[j] - maxv));
+    probs[j] = static_cast<float>(e);
+    sum += e;
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    probs[j] = static_cast<float>(probs[j] / sum);
+  }
+  return -std::log(std::max(1e-12, static_cast<double>(probs[label])));
+}
+
+size_t SoftmaxXent::ArgMax(const float* logits, size_t cols) {
+  size_t best = 0;
+  for (size_t j = 1; j < cols; ++j) {
+    if (logits[j] > logits[best]) {
+      best = j;
+    }
+  }
+  return best;
 }
 
 Tensor SoftmaxXent::Gradient(const Tensor& probs, const std::vector<int>& labels) {
@@ -115,12 +145,7 @@ double SoftmaxXent::Accuracy(const Tensor& logits, const std::vector<int>& label
   }
   size_t correct = 0;
   for (size_t i = 0; i < logits.rows(); ++i) {
-    size_t best = 0;
-    for (size_t j = 1; j < logits.cols(); ++j) {
-      if (logits.At(i, j) > logits.At(i, best)) {
-        best = j;
-      }
-    }
+    const size_t best = ArgMax(logits.data() + i * logits.cols(), logits.cols());
     if (static_cast<int>(best) == labels[i]) {
       ++correct;
     }

@@ -27,6 +27,11 @@ class DenseLayer {
   // lives in the layer and is overwritten by the next Forward.
   const Tensor& Forward(const Tensor& input);
 
+  // Inference-only forward into `*out`: the values Forward returns, computed
+  // without the layer's training buffers, so concurrent calls on one layer
+  // are safe. Row i of the output depends only on row i of the input.
+  void Infer(const Tensor& input, Tensor* out) const;
+
   // Backward pass: takes dL/dy, accumulates weight/bias gradients and returns
   // dL/dx, which lives in the layer until the next Backward. Must be called
   // after Forward on the same batch.
@@ -73,6 +78,12 @@ struct SoftmaxXent {
   static Tensor Gradient(const Tensor& probs, const std::vector<int>& labels);
   // Fraction of argmax predictions matching labels.
   static double Accuracy(const Tensor& logits, const std::vector<int>& labels);
+
+  // One row of Loss: writes softmax(logits[0, cols)) to `probs` and returns
+  // the row's cross-entropy against `label`. Loss sums these in row order.
+  static double RowLoss(const float* logits, size_t cols, int label, float* probs);
+  // The first index of the row's largest logit: Accuracy's prediction.
+  static size_t ArgMax(const float* logits, size_t cols);
 };
 
 }  // namespace floatfl

@@ -1,10 +1,22 @@
 #include "src/nn/mlp.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "src/agg/aggregator.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/sim/thread_pool.h"
 
 namespace floatfl {
+namespace {
+
+// Rows per Evaluate block: small enough that a 400-row test set spreads over
+// four threads in 25 even pieces.
+constexpr size_t kEvalBlockRows = 16;
+
+}  // namespace
 
 Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
   FLOATFL_CHECK(dims.size() >= 2);
@@ -63,13 +75,51 @@ double Mlp::TrainBatch(const Tensor& input, const std::vector<int>& labels, floa
   return loss;
 }
 
-double Mlp::EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels) {
-  return SoftmaxXent::Accuracy(Forward(input), labels);
+Mlp::Evaluation Mlp::Evaluate(const Tensor& input, const std::vector<int>& labels,
+                              ThreadPool* pool) const {
+  FLOATFL_CHECK(input.rows() == labels.size());
+  const size_t rows = input.rows();
+  const size_t dim = input.cols();
+  std::vector<double> row_loss(rows);
+  std::vector<uint8_t> row_hit(rows);
+  const size_t blocks = (rows + kEvalBlockRows - 1) / kEvalBlockRows;
+  ParallelFor(pool, blocks, [&](size_t b) {
+    const size_t begin = b * kEvalBlockRows;
+    const size_t count = std::min(kEvalBlockRows, rows - begin);
+    Tensor x(count, dim);
+    std::copy_n(input.data() + begin * dim, count * dim, x.data());
+    Tensor y;
+    for (const DenseLayer& layer : layers_) {
+      layer.Infer(x, &y);
+      std::swap(x, y);
+    }
+    const size_t classes = x.cols();
+    std::vector<float> probs(classes);
+    for (size_t r = 0; r < count; ++r) {
+      const float* logits = x.data() + r * classes;
+      const int label = labels[begin + r];
+      row_loss[begin + r] = SoftmaxXent::RowLoss(logits, classes, label, probs.data());
+      row_hit[begin + r] = static_cast<int>(SoftmaxXent::ArgMax(logits, classes)) == label;
+    }
+  });
+  Evaluation out;
+  double total = 0.0;
+  size_t correct = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    total += row_loss[i];
+    correct += row_hit[i];
+  }
+  out.loss = total / static_cast<double>(rows);
+  out.accuracy = rows == 0 ? 0.0 : static_cast<double>(correct) / static_cast<double>(rows);
+  return out;
 }
 
-double Mlp::EvaluateLoss(const Tensor& input, const std::vector<int>& labels) {
-  Tensor probs;
-  return SoftmaxXent::Loss(Forward(input), labels, &probs);
+double Mlp::EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels) const {
+  return Evaluate(input, labels).accuracy;
+}
+
+double Mlp::EvaluateLoss(const Tensor& input, const std::vector<int>& labels) const {
+  return Evaluate(input, labels).loss;
 }
 
 size_t Mlp::ParamCount() const {

@@ -16,6 +16,7 @@
 namespace floatfl {
 
 class Rng;
+class ThreadPool;
 
 class Mlp {
  public:
@@ -37,8 +38,20 @@ class Mlp {
   double TrainBatch(const Tensor& input, const std::vector<int>& labels, float lr,
                     size_t frozen_layers = 0);
 
-  double EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels);
-  double EvaluateLoss(const Tensor& input, const std::vector<int>& labels);
+  // Accuracy and mean softmax cross-entropy over (input, labels) from one
+  // forward pass. The rows run in fixed-size blocks through `pool` (null runs
+  // inline), with per-call scratch instead of the layers' training buffers.
+  // Every row is computed alone and the row losses are summed in row order,
+  // so the result is bit-identical for every pool and equal to
+  // SoftmaxXent::Accuracy / Loss over Forward(input).
+  struct Evaluation {
+    double accuracy = 0.0;
+    double loss = 0.0;
+  };
+  Evaluation Evaluate(const Tensor& input, const std::vector<int>& labels,
+                      ThreadPool* pool = nullptr) const;
+  double EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels) const;
+  double EvaluateLoss(const Tensor& input, const std::vector<int>& labels) const;
 
   size_t NumLayers() const { return layers_.size(); }
   size_t ParamCount() const;

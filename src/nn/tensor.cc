@@ -66,6 +66,27 @@ void AxpyTerms(const float* a, const float* const* x, size_t m, float* __restric
   }
 }
 
+// Per-thread kernel scratch. It grows to the largest operand seen and keeps
+// its storage, so a warm kernel allocates nothing; one copy per thread keeps
+// kernels running concurrently on the pool (Mlp::Evaluate) apart.
+struct KernelScratch {
+  std::vector<float> coef;
+  std::vector<const float*> terms;
+  std::vector<float> transposed;
+};
+
+KernelScratch& ThreadKernelScratch(size_t terms, size_t transposed = 0) {
+  thread_local KernelScratch scratch;
+  if (scratch.coef.size() < terms) {
+    scratch.coef.resize(terms);
+    scratch.terms.resize(terms);
+  }
+  if (scratch.transposed.size() < transposed) {
+    scratch.transposed.resize(transposed);
+  }
+  return scratch;
+}
+
 }  // namespace
 
 void Tensor::Reset(size_t rows, size_t cols, float fill) {
@@ -99,8 +120,9 @@ void Tensor::MatMulInto(const Tensor& other, Tensor* out) const {
   FLOATFL_CHECK(out != this && out != &other);
   const size_t n = other.cols_;
   out->Reset(rows_, n);
-  std::vector<float> coef(cols_);
-  std::vector<const float*> terms(cols_);
+  KernelScratch& scratch = ThreadKernelScratch(cols_);
+  float* coef = scratch.coef.data();
+  const float** terms = scratch.terms.data();
   for (size_t i = 0; i < rows_; ++i) {
     size_t m = 0;
     for (size_t k = 0; k < cols_; ++k) {
@@ -111,30 +133,32 @@ void Tensor::MatMulInto(const Tensor& other, Tensor* out) const {
       coef[m] = a;
       terms[m++] = other.data_.data() + k * n;
     }
-    AxpyTerms(coef.data(), terms.data(), m, out->data_.data() + i * n, n);
+    AxpyTerms(coef, terms, m, out->data_.data() + i * n, n);
   }
 }
 
 // Each output element is the dot product of two rows summed in k order from
-// +0. Transposing `other` once turns the dot products into axpys over output
-// rows that keep that order. No zero skip: 0 * Inf must still give NaN.
+// +0. Transposing `other` once, into per-thread scratch, turns the dot
+// products into axpys over output rows that keep that order. No zero skip:
+// 0 * Inf must still give NaN.
 void Tensor::MatMulTransposedInto(const Tensor& other, Tensor* out) const {
   FLOATFL_CHECK(cols_ == other.cols_);
   FLOATFL_CHECK(out != this && out != &other);
   const size_t n = other.rows_;
-  std::vector<float> other_t(cols_ * n);
+  KernelScratch& scratch = ThreadKernelScratch(cols_, cols_ * n);
+  float* other_t = scratch.transposed.data();
   for (size_t j = 0; j < n; ++j) {
     for (size_t k = 0; k < cols_; ++k) {
       other_t[k * n + j] = other.data_[j * cols_ + k];
     }
   }
-  std::vector<const float*> terms(cols_);
+  const float** terms = scratch.terms.data();
   for (size_t k = 0; k < cols_; ++k) {
-    terms[k] = other_t.data() + k * n;
+    terms[k] = other_t + k * n;
   }
   out->Reset(rows_, n);
   for (size_t i = 0; i < rows_; ++i) {
-    AxpyTerms(data_.data() + i * cols_, terms.data(), cols_, out->data_.data() + i * n, n);
+    AxpyTerms(data_.data() + i * cols_, terms, cols_, out->data_.data() + i * n, n);
   }
 }
 
@@ -145,8 +169,9 @@ void Tensor::TransposedMatMulInto(const Tensor& other, Tensor* out) const {
   FLOATFL_CHECK(out != this && out != &other);
   const size_t n = other.cols_;
   out->Reset(cols_, n);
-  std::vector<float> coef(rows_);
-  std::vector<const float*> terms(rows_);
+  KernelScratch& scratch = ThreadKernelScratch(rows_);
+  float* coef = scratch.coef.data();
+  const float** terms = scratch.terms.data();
   for (size_t i = 0; i < cols_; ++i) {
     size_t m = 0;
     for (size_t k = 0; k < rows_; ++k) {
@@ -157,7 +182,7 @@ void Tensor::TransposedMatMulInto(const Tensor& other, Tensor* out) const {
       coef[m] = a;
       terms[m++] = other.data_.data() + k * n;
     }
-    AxpyTerms(coef.data(), terms.data(), m, out->data_.data() + i * n, n);
+    AxpyTerms(coef, terms, m, out->data_.data() + i * n, n);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "src/sim/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -78,52 +79,59 @@ size_t ResolveThreadCount(size_t requested) {
 }
 
 void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || pool->num_workers() == 0 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  const size_t chunks = std::min(n, pool->num_workers() + 1);
-  const auto chunk_begin = [n, chunks](size_t c) { return c * n / chunks; };
+  const size_t workers = pool == nullptr ? 0 : pool->num_workers();
+  const size_t participants = std::max<size_t>(1, std::min(n, workers + 1));
+  // Blocks of `grain` indices keep the shared counter cold when n is large;
+  // about eight blocks per participant still even out uneven indices.
+  const size_t grain = std::max<size_t>(1, n / (8 * participants));
+  std::atomic<size_t> next{0};
+  std::mutex error_mu;
+  size_t error_index = n;
+  std::exception_ptr error;
 
-  // Chunks 1..chunks-1 go to the pool; the caller runs chunk 0 itself.
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
-  for (size_t c = 1; c < chunks; ++c) {
-    const size_t begin = chunk_begin(c);
-    const size_t end = chunk_begin(c + 1);
-    futures.push_back(pool->Submit([&fn, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        fn(i);
+  // Every participant claims blocks until none is left. A throwing index is
+  // recorded and the loop goes on, so every index runs whatever fails.
+  const auto drain = [&] {
+    for (;;) {
+      const size_t begin = next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= n) {
+        return;
       }
-    }));
-  }
-
-  std::exception_ptr caller_error;
-  try {
-    const size_t end = chunk_begin(1);
-    for (size_t i = 0; i < end; ++i) {
-      fn(i);
+      const size_t end = std::min(n, begin + grain);
+      for (size_t i = begin; i < end; ++i) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+        }
+      }
     }
-  } catch (...) {
-    caller_error = std::current_exception();
-  }
+  };
 
-  // Wait for every chunk, helping drain the queue instead of blocking so a
-  // nested ParallelFor issued from inside a task cannot deadlock the pool.
+  std::vector<std::future<void>> futures;
+  futures.reserve(participants - 1);
+  for (size_t c = 1; c < participants; ++c) {
+    futures.push_back(pool->Submit(drain));
+  }
+  drain();
+
+  // Wait for the helpers still inside a claimed block, helping drain the
+  // queue instead of blocking so a nested ParallelFor issued from inside a
+  // body cannot deadlock the pool.
   for (auto& future : futures) {
     while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
       if (!pool->TryRunOneTask()) {
         future.wait_for(std::chrono::microseconds(50));
       }
     }
+    future.get();
   }
-  if (caller_error != nullptr) {
-    std::rethrow_exception(caller_error);
-  }
-  for (auto& future : futures) {
-    future.get();  // rethrows the lowest-indexed pool-chunk failure
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 

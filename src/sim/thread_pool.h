@@ -61,14 +61,17 @@ class ThreadPool {
 // 0 = hardware_concurrency() (at least 1), anything else is taken verbatim.
 size_t ResolveThreadCount(size_t requested);
 
-// Runs fn(i) for every i in [0, n), splitting the range into contiguous
-// chunks across the pool's workers plus the calling thread, and blocks until
-// all of them finish. With a null pool (or no workers, or n <= 1) the loop
-// runs inline in index order — the engines' num_threads == 1 path.
+// Runs fn(i) for every i in [0, n) on the pool's workers plus the calling
+// thread, and blocks until all of them finish. Indices are claimed
+// dynamically, in small fixed-size blocks from one shared counter, so a
+// thread stuck on a slow block holds back no other block; which thread runs
+// an index is unspecified. With a null pool (or no workers, or n <= 1) the
+// caller alone runs the indices in order — the engines' num_threads == 1
+// path.
 //
-// If one or more invocations throw, every chunk still runs to its own
-// completion or failure, and the exception of the lowest-indexed failing
-// chunk is rethrown — deterministic for a deterministic fn.
+// If one or more invocations throw, every index still runs, and the exception
+// of the lowest failing index is rethrown — deterministic for a deterministic
+// fn, and the same at every thread count.
 void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace floatfl

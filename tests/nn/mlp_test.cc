@@ -7,6 +7,7 @@
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
 #include "src/nn/optimizer.h"
+#include "src/sim/thread_pool.h"
 
 namespace floatfl {
 namespace {
@@ -104,6 +105,31 @@ TEST(MlpTest, AggregateNormalizesByWeightSum) {
   const std::vector<std::vector<float>> sets = {{1.0f, 8.0f}, {5.0f, 0.0f}};
   EXPECT_EQ(Mlp::Aggregate(sets, {3.0, 1.0}), Mlp::Aggregate(sets, {0.75, 0.25}));
   EXPECT_EQ(Mlp::Aggregate(sets, {2.0, 2.0}), Mlp::Aggregate(sets, {1.0, 1.0}));
+}
+
+// Evaluate's row-blocked forward pass must give the bits of a whole-batch
+// Forward followed by SoftmaxXent, inline and on a pool, including a row
+// count that leaves a partial block.
+TEST(MlpTest, EvaluateMatchesWholeBatchForwardBitForBit) {
+  Rng rng(11);
+  SyntheticTaskData task(5, 12, /*separation=*/1.0, rng);
+  Tensor x;
+  std::vector<int> y;
+  task.MakeTestSet(7, rng, &x, &y);  // 35 rows
+  Mlp net({12, 24, 16, 5}, rng);
+  Mlp reference = net;
+  const Tensor logits = reference.Forward(x);
+  Tensor probs;
+  const double loss = SoftmaxXent::Loss(logits, y, &probs);
+  const double accuracy = SoftmaxXent::Accuracy(logits, y);
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const Mlp::Evaluation e = net.Evaluate(x, y, p);
+    EXPECT_EQ(e.loss, loss);
+    EXPECT_EQ(e.accuracy, accuracy);
+  }
+  EXPECT_EQ(net.EvaluateLoss(x, y), loss);
+  EXPECT_EQ(net.EvaluateAccuracy(x, y), accuracy);
 }
 
 TEST(MlpTest, TrainingLearnsSeparableTask) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "src/core/float_controller.h"
 #include "src/failure/checkpoint_io.h"
 #include "src/fl/async_engine.h"
 #include "src/fl/real_engine.h"
@@ -241,6 +242,42 @@ TEST(RoundScratchTest, RealEngineWarmScratchWithSalvagedPartialsIsBitInvisible) 
   config.faults.max_transfer_retries = 1;
   config.salvage.enabled = true;
   ExpectRealWarmScratchIsBitInvisible(config);
+}
+
+// Policy rounds take their round-start accuracy from the previous round's
+// end. The warm engine's cache holds the accuracy of a later round when
+// LoadState rewinds it, so a cache that survived the load would feed the
+// policy a wrong accuracy credit and the replayed Q-table would differ.
+TEST(RoundScratchTest, RealEnginePolicyRoundsAfterRewindAreBitInvisible) {
+  constexpr size_t kRounds = 6;
+  RealFlConfig config = SmallRealConfig();
+  config.num_threads = 2;
+  const auto cold_policy = FloatController::MakeDefault(config.seed, kRounds);
+  RealFlEngine cold(config);
+  cold.AttachPolicy(cold_policy.get());
+  std::string mid;
+  for (size_t round = 0; round < kRounds; ++round) {
+    if (round == kRewindAt) {
+      mid = RealState(cold);
+    }
+    cold.RunRoundWithPolicy();
+  }
+
+  const auto warm_policy = FloatController::MakeDefault(config.seed, kRounds);
+  RealFlEngine warm(config);
+  warm.AttachPolicy(warm_policy.get());
+  for (size_t round = 0; round < kRounds; ++round) {
+    warm.RunRoundWithPolicy();
+  }
+  CheckpointReader r(mid);
+  warm.LoadState(r);
+  ASSERT_TRUE(r.AtEnd());
+  for (size_t round = kRewindAt; round < kRounds; ++round) {
+    warm.RunRoundWithPolicy();
+  }
+
+  EXPECT_EQ(RealState(cold), RealState(warm));
+  EXPECT_EQ(cold.global_model().GetParameters(), warm.global_model().GetParameters());
 }
 
 std::string VflState(const VflEngine& engine) {

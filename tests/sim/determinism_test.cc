@@ -1,10 +1,11 @@
 // Thread-count invariance harness.
 //
 // Runs identical experiments at num_threads in {1, 2, 8} ({1, 2, 4, 8} for
-// the fully armed sync run) on all three engines and asserts the outputs
-// are bit-for-bit identical: per-round accuracy sequences, learned
-// Q-tables, resource-accountant totals, participation counts, and (for the
-// real engine) the aggregated model weights themselves. This is the contract that lets the engines fan
+// the fully armed sync run and the real engine's policy run) on all three
+// engines and asserts the outputs are bit-for-bit identical: per-round
+// accuracy sequences, learned Q-tables, resource-accountant totals,
+// participation counts, and (for the real engine) the aggregated model
+// weights themselves. This is the contract that lets the engines fan
 // per-client work across a pool without becoming irreproducible.
 #include <gtest/gtest.h>
 
@@ -269,6 +270,83 @@ TEST(DeterminismTest, RealEngineIsThreadCountInvariant) {
     for (size_t i = 0; i < params.size(); ++i) {
       EXPECT_EQ(params[i], baseline_params[i]) << "param " << i;
     }
+  }
+}
+
+// The policy path of the real engine with the guard and salvage armed: the
+// cached round-start accuracy, the row-parallel test-set evaluation, the
+// guard's rollback re-evaluation and truncated partial training all run
+// under the pool. Every round's stats and the serialized engine (policy
+// included) must be byte-identical at every thread count.
+RealFlConfig RealPolicyConfig(size_t num_threads) {
+  RealFlConfig config;
+  config.num_clients = 12;
+  config.clients_per_round = 6;
+  config.num_classes = 3;
+  config.input_dim = 8;
+  config.hidden_dims = {12};
+  // 90 rows: five full evaluation blocks and a partial one.
+  config.test_samples_per_class = 30;
+  config.seed = 9;
+  config.num_threads = num_threads;
+  // A late scaled-replacement attack collapses the model, so the guard
+  // rolls back; crashes give salvage partials to train.
+  config.faults.byzantine_mode = ByzantineMode::kScaledReplacement;
+  config.faults.byzantine_fraction = 0.2;
+  config.faults.byzantine_scale = 300.0;
+  config.faults.byzantine_start_round = 6;
+  config.faults.crash_prob = 0.25;
+  config.guard.enabled = true;
+  config.guard.collapse_threshold = 0.1;
+  config.guard.snapshot_ring = 3;
+  config.guard.safe_mode_rounds = 3;
+  config.salvage.enabled = true;
+  return config;
+}
+
+bool SameRealStats(const RealRoundStats& a, const RealRoundStats& b) {
+  return a.test_accuracy == b.test_accuracy && a.test_loss == b.test_loss &&
+         a.participants == b.participants && a.mean_upload_bytes == b.mean_upload_bytes &&
+         a.mean_update_error == b.mean_update_error && a.crashed == b.crashed &&
+         a.rejected_updates == b.rejected_updates &&
+         a.byzantine_selected == b.byzantine_selected && a.rolled_back == b.rolled_back &&
+         a.partials_salvaged == b.partials_salvaged &&
+         a.partials_below_min == b.partials_below_min &&
+         a.partials_rejected == b.partials_rejected && a.salvaged_steps == b.salvaged_steps;
+}
+
+TEST(DeterminismTest, RealEnginePolicyRoundsWithGuardAndSalvageAreThreadCountInvariant) {
+  constexpr size_t kRounds = 16;
+  std::vector<RealRoundStats> baseline_stats;
+  std::string baseline_state;
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    const RealFlConfig config = RealPolicyConfig(threads);
+    auto controller = FloatController::MakeDefault(config.seed, kRounds);
+    RealFlEngine engine(config);
+    engine.AttachPolicy(controller.get());
+    std::vector<RealRoundStats> stats;
+    size_t rollbacks = 0;
+    size_t salvaged = 0;
+    for (size_t round = 0; round < kRounds; ++round) {
+      stats.push_back(engine.RunRoundWithPolicy());
+      rollbacks += stats.back().rolled_back ? 1 : 0;
+      salvaged += stats.back().partials_salvaged;
+    }
+    CheckpointWriter w;
+    engine.SaveState(w);
+    if (threads == 1) {
+      // The run must exercise the paths it claims to cover.
+      EXPECT_GE(rollbacks, 1u);
+      EXPECT_GT(salvaged, 0u);
+      baseline_stats = stats;
+      baseline_state = w.buffer();
+      continue;
+    }
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    for (size_t round = 0; round < kRounds; ++round) {
+      EXPECT_TRUE(SameRealStats(stats[round], baseline_stats[round])) << "round " << round;
+    }
+    EXPECT_TRUE(w.buffer() == baseline_state) << "checkpoint bytes differ";
   }
 }
 

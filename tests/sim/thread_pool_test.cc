@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,6 +175,60 @@ TEST(ParallelForTest, DeeplyNestedReentrancy) {
     });
   });
   EXPECT_EQ(leaves.load(), 64);
+}
+
+// Index 0 blocks until every other index has run. Indices are claimed one
+// block at a time, so the thread stuck on index 0 holds back nothing: the
+// other participants claim the rest. Under contiguous per-thread chunks the
+// indices behind 0 in its chunk would wait on it. The wait is bounded, so a
+// regression fails instead of hanging.
+TEST(ParallelForTest, BlockedIndexDoesNotHoldBackTheOthers) {
+  ThreadPool pool(3);
+  const size_t n = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t others_done = 0;
+  size_t seen_by_index0 = 0;
+  ParallelFor(&pool, n, [&](size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i != 0) {
+      ++others_done;
+      cv.notify_all();
+      return;
+    }
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return others_done == n - 1; });
+    seen_by_index0 = others_done;
+  });
+  EXPECT_EQ(seen_by_index0, n - 1) << "other indices that ran while index 0 waited";
+}
+
+// Several indices fail; the rethrown exception is the lowest failing index's
+// at every thread count, and every index, failing or not, runs exactly once.
+// 200 indices split into claim blocks unevenly at 4 and 8 threads.
+TEST(ParallelForTest, RethrowsLowestFailingIndexAtEveryThreadCount) {
+  const size_t n = 200;
+  const std::set<size_t> failing = {7, 8, 61, 62, 63, 150, 199};
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Sized as the engines size it: the caller is one of `threads`.
+    const std::unique_ptr<ThreadPool> pool =
+        threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
+    std::vector<std::atomic<int>> hits(n);
+    try {
+      ParallelFor(pool.get(), n, [&](size_t i) {
+        ++hits[i];
+        if (failing.count(i) != 0) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 7");
+    }
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+  }
 }
 
 TEST(ResolveThreadCountTest, ZeroMeansHardwareConcurrency) {
